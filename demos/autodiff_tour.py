@@ -42,9 +42,8 @@ for epoch in range(1, 31):
     opt.set_epoch(epoch)
     logits = add_bias(matmul(Tensor(pts), wfit), bfit)
     ce = cross_entropy_with_softmax(logits, labels)
-    opt.zero_grad()
     backward(ce)
-    opt.step()
+    opt.step()  # also zeroes the gradients for the next backward pass
     if epoch % 10 == 0:
         print(f"epoch {epoch:2d}  lr {schedule_lr(0.5, epoch):.3f}  "
               f"loss {ce.data.item():.4f}")

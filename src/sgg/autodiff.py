@@ -70,37 +70,11 @@ class Tensor:
             out._backward = None
         return out
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Light operator sugar; the pipeline mostly calls the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, s):
-        return scalar_mul(self, s)
-
-    __rmul__ = __mul__
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -166,15 +140,6 @@ def add_bias(m: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(m.data + b.data, (m, b), back)
 
 
-def scalar_mul(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def back(g):
-        _accumulate(a, g * s)
-
-    return Tensor._from_op(a.data * s, (a,), back)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix/vector product for 1-D and 2-D operands (no batching)."""
     an, bn = a.data.ndim, b.data.ndim
@@ -199,23 +164,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g * a.data)
 
     return Tensor._from_op(out, (a, b), back)
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors along axis 0."""
-    if not parts:
-        raise ShapeError("concat: empty input list")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat: expected vectors, got shape {p.data.shape}")
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
-
-    return Tensor._from_op(np.concatenate([p.data for p in parts]), tuple(parts), back)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -245,38 +193,23 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    z = x.data
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function that never exponentiates a positive number."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _stable_sigmoid(x.data)
 
     def back(g):
         _accumulate(x, g * out * (1.0 - out))
 
     return Tensor._from_op(out, (x,), back)
-
-
-def mean_over_set(parts: list[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors; the empty set is rejected."""
-    if not parts:
-        raise ShapeError("mean_over_set: empty input list")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise ShapeError("mean_over_set: mismatched shapes")
-    k = float(len(parts))
-
-    def back(g):
-        for p in parts:
-            _accumulate(p, g / k)
-
-    out = parts[0].data.copy()
-    for p in parts[1:]:
-        out += p.data
-    return Tensor._from_op(out / k, tuple(parts), back)
 
 
 def gather_rows(m: Tensor, indices) -> Tensor:
@@ -455,12 +388,7 @@ def binary_logistic_loss(logits: Tensor, labels) -> Tensor:
     losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def back(g):
-        s = np.empty_like(z)
-        pos = z >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        s[~pos] = ez / (1.0 + ez)
-        _accumulate(logits, (s - y) * (float(g) / z.shape[0]))
+        _accumulate(logits, (_stable_sigmoid(z) - y) * (float(g) / z.shape[0]))
 
     return Tensor._from_op(losses.mean(), (logits,), back)
 
@@ -508,10 +436,6 @@ class SgdMomentum:
         self.epoch = int(epoch)
         self.lr = schedule_lr(self.base_lr, self.epoch)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         for p, v in zip(self.params, self.velocity):
             v *= self.momentum
@@ -526,27 +450,13 @@ def finite_difference_check(f, x, eps: float = 1e-5) -> float:
     ``f`` maps a Tensor leaf to a scalar Tensor.  Returns the max over
     coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
     """
-    x = np.asarray(x, dtype=np.float64)
-    leaf = Tensor(x, requires_grad=True)
-    backward(f(leaf))
-    g_ad = leaf.grad.reshape(-1).copy()
-    g_fd = np.empty_like(g_ad)
-    flat = x.reshape(-1)
-    for k in range(flat.size):
-        delta = np.zeros_like(flat)
-        delta[k] = eps
-        hi = f(Tensor((flat + delta).reshape(x.shape))).item()
-        lo = f(Tensor((flat - delta).reshape(x.shape))).item()
-        g_fd[k] = (hi - lo) / (2.0 * eps)
-    denom = np.maximum(1.0, np.maximum(np.abs(g_ad), np.abs(g_fd)))
-    if g_ad.size == 0:
-        return 0.0
-    return float(np.max(np.abs(g_ad - g_fd) / denom))
+    leaf = Tensor(np.array(x, dtype=np.float64), requires_grad=True)
+    return finite_difference_check_params(lambda: f(leaf), [leaf], eps)
 
 
 def finite_difference_check_params(loss_fn, tensors, eps: float = 1e-5) -> float:
-    """Same relative-error measure as :func:`finite_difference_check`, but for
-    a loss closed over many parameter tensors.
+    """Relative-error measure of :func:`finite_difference_check` for a loss
+    closed over many parameter tensors.
 
     ``loss_fn`` takes no arguments and rebuilds the scalar loss from the
     current contents of ``tensors``; each tensor's data is nudged in place for

@@ -26,10 +26,15 @@ _MAGIC = "sgg-checkpoint 1"
 
 
 def save_params(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write the arrays; a non-finite value anywhere refuses the whole file."""
+    arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: parameter '{name}' holds a non-finite value; "
+                             f"nothing written")
     with open(path, "w") as fh:
         fh.write(_MAGIC + "\n")
         for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name}{' ' + dims if dims else ''}\n")
             flat = arr.reshape(-1)
@@ -67,6 +72,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             ln += 1
         if len(vals) != need:
             raise ValueError(f"{path}: parameter '{name}' has {len(vals)} values, needs {need}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}: parameter '{name}' holds a non-finite value")
         out[name] = np.array(vals).reshape(shape)
     return out
 
@@ -126,8 +133,7 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
             raise ValueError(f"{path}: checkpoint is missing '{key}'")
     config = _config_from_meta(arrays["meta.dims"], arrays["meta.flags"])
     dims = config.dims
-    tokens = ["background"] + [f"class_{k}" for k in range(1, dims.n_classes)]
-    embed = EmbeddingTable(tokens=tokens, matrix=arrays["embed.table"])
+    embed = EmbeddingTable(matrix=arrays["embed.table"])
     srf = init_srf_params(dims, np.random.default_rng(0)) if "srf.l1.w" in arrays else None
     params = init_model_params(config, seed=0, srf=srf, embed=embed)
     _fill(params.named_tensors(), arrays, path)
@@ -149,6 +155,5 @@ def load_srf_checkpoint(path) -> tuple[SrfParams, EmbeddingTable, Dims]:
     dims = _dims_from_vector(arrays["meta.dims"])
     srf = init_srf_params(dims, np.random.default_rng(0))
     _fill(srf.named("srf"), arrays, path)
-    tokens = ["background"] + [f"class_{k}" for k in range(1, dims.n_classes)]
-    embed = EmbeddingTable(tokens=tokens, matrix=arrays["embed.table"])
+    embed = EmbeddingTable(matrix=arrays["embed.table"])
     return srf, embed, dims

@@ -21,9 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ModelConfig
+from .filter import gt_overlaps
 from .inference import PredictedGraph
 from .model import ModelParams, predict_scene
-from .scenes import Box, GtObject, ObjectProposal, SceneRecord, iou, one_hot
+from .scenes import Box, ObjectProposal, SceneRecord, iou, one_hot
 
 MODES = ("sggen", "sgcls", "predcls")
 
@@ -79,13 +80,11 @@ def substitute_gt_boxes(scene: SceneRecord, n_classes: int, d_obj: int,
                         one_hot_labels: bool) -> SceneRecord:
     """Replace proposals with the gt boxes, pulling each feature and label
     prior from the best-overlapping proposal (zeros/uniform when none)."""
+    ious = gt_overlaps(scene)
     props = []
-    for g in scene.gt_objects:
-        best, best_iou = None, 0.0
-        for p in scene.proposals:
-            v = iou(p.box, g.box)
-            if v > best_iou:
-                best, best_iou = p, v
+    for k, g in enumerate(scene.gt_objects):
+        # argmax keeps the first of tied proposals
+        best = scene.proposals[ious[:, k].argmax()] if np.any(ious[:, k] > 0) else None
         feature = best.feature if best is not None else np.zeros(d_obj)
         if one_hot_labels:
             dist = one_hot(g.cls, n_classes)

@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor, binary_logistic_loss, flatten, sigmoid
 from .config import Dims
 from .nn import TwoLayerMlp, make_mlp
-from .scenes import Box, EmbeddingTable, SceneRecord, iou, normalize_box, union_box
+from .scenes import EmbeddingTable, SceneRecord, iou, normalize_box, union_box
 
 
 @dataclass
@@ -40,11 +40,6 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def pair_input(e_i: np.ndarray, e_j: np.ndarray, box_i: Box, box_j: Box) -> np.ndarray:
-    u = union_box(box_i, box_j)
-    return np.concatenate([e_i, normalize_box(box_i, u), normalize_box(box_j, u), e_j])
-
-
 def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
                 pairs: list[tuple[int, int]]) -> np.ndarray:
     """Stack filter inputs for the given ordered pairs, one row per pair."""
@@ -52,7 +47,9 @@ def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
         if scene.proposals else np.zeros((0, table.dim))
     rows = np.zeros((len(pairs), 2 * table.dim + 8))
     for r, (i, j) in enumerate(pairs):
-        rows[r] = pair_input(emb[i], emb[j], scene.proposals[i].box, scene.proposals[j].box)
+        bi, bj = scene.proposals[i].box, scene.proposals[j].box
+        u = union_box(bi, bj)
+        rows[r] = np.concatenate([emb[i], normalize_box(bi, u), normalize_box(bj, u), emb[j]])
     return rows
 
 
@@ -62,13 +59,7 @@ def pair_logits(inputs: np.ndarray, params: SrfParams) -> Tensor:
 
 
 def score_pairs(inputs: np.ndarray, params: SrfParams) -> np.ndarray:
-    if len(inputs) == 0:
-        return np.zeros(0)
     return sigmoid(pair_logits(inputs, params)).data
-
-
-def score_pair(e_i, e_j, box_i: Box, box_j: Box, params: SrfParams) -> float:
-    return float(score_pairs(pair_input(e_i, e_j, box_i, box_j)[None, :], params)[0])
 
 
 def prune_graph(pairs: list[tuple[int, int]], scores: np.ndarray, top_k: int,
@@ -86,25 +77,34 @@ def prune_graph(pairs: list[tuple[int, int]], scores: np.ndarray, top_k: int,
     return [pairs[r] for r in kept], scores[kept]
 
 
+def gt_overlaps(scene: SceneRecord) -> np.ndarray:
+    """IoU of every proposal (rows) with every gt object (columns)."""
+    ious = [[iou(p.box, g.box) for g in scene.gt_objects] for p in scene.proposals]
+    return np.array(ious).reshape(scene.n_proposals, len(scene.gt_objects))
+
+
+def matched_triplets(scene: SceneRecord, pairs: list[tuple[int, int]],
+                     iou_threshold: float) -> np.ndarray:
+    """Index of the first gt triplet each ordered proposal pair localizes, else -1.
+
+    Pair (i, j) localizes gt triplet (s, p, o) when proposal i overlaps gt
+    object s and proposal j overlaps gt object o, both above the IoU
+    threshold.
+    """
+    if not pairs or not scene.gt_triplets:
+        return np.full(len(pairs), -1, dtype=np.intp)
+    overlap = gt_overlaps(scene) > iou_threshold
+    ij = np.array(pairs, dtype=np.intp)
+    trip = np.array(scene.gt_triplets, dtype=np.intp)  # rows (sub, pred, obj)
+    hit = overlap[ij[:, :1], trip[:, 0]] & overlap[ij[:, 1:], trip[:, 2]]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
 def srf_training_labels(scene: SceneRecord, iou_threshold: float = 0.5,
                         ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Label every ordered proposal pair 1 iff it localizes some gt triplet.
-
-    Pair (i, j) is positive when a gt triplet (s, p, o) exists whose subject
-    box overlaps proposal i and whose object box overlaps proposal j, both
-    above the IoU threshold.
-    """
+    """Label every ordered proposal pair 1 iff it localizes some gt triplet."""
     pairs = ordered_pairs(scene.n_proposals)
-    labels = np.zeros(len(pairs))
-    if scene.gt_triplets:
-        overlap = np.array([[iou(p.box, g.box) > iou_threshold for g in scene.gt_objects]
-                            for p in scene.proposals])
-        for r, (i, j) in enumerate(pairs):
-            for t in scene.gt_triplets:
-                if overlap[i, t.sub] and overlap[j, t.obj]:
-                    labels[r] = 1.0
-                    break
-    return pairs, labels
+    return pairs, (matched_triplets(scene, pairs, iou_threshold) >= 0).astype(np.float64)
 
 
 def srf_loss(inputs: np.ndarray, labels: np.ndarray, params: SrfParams) -> Tensor:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, gather_rows, glorot_uniform, matmul, softmax
+from .autodiff import Tensor, concat_cols, gather_rows, glorot_uniform, matmul
 from .config import Dims, ModelConfig
 from .nn import Affine, TwoLayerMlp, make_affine, make_mlp
 from .scenes import Box
@@ -55,11 +55,6 @@ def object_logits(x_obj: Tensor, params: HeadParams) -> Tensor:
     return params.obj_cls(x_obj)
 
 
-def classify_objects(x_obj: Tensor, params: HeadParams) -> Tensor:
-    """Softmax class distributions, one row per object."""
-    return softmax(object_logits(x_obj, params))
-
-
 def relation_logits(x_rel: Tensor, p_hat: Tensor, edges: list[tuple[int, int]],
                     params: HeadParams, config: ModelConfig) -> Tensor:
     """Logits over real predicates plus no-relation for each retained pair.
@@ -73,11 +68,6 @@ def relation_logits(x_rel: Tensor, p_hat: Tensor, edges: list[tuple[int, int]],
     e_sub = matmul(gather_rows(p_hat, idx[:, 0]), params.sub_emb)
     e_obj = matmul(gather_rows(p_hat, idx[:, 1]), params.obj_emb)
     return params.rel_cls(concat_cols([e_sub, x_rel, e_obj]))
-
-
-def classify_relations(x_rel: Tensor, p_hat: Tensor, edges: list[tuple[int, int]],
-                       params: HeadParams, config: ModelConfig) -> Tensor:
-    return softmax(relation_logits(x_rel, p_hat, edges, params, config))
 
 
 class ScoredTriplet(NamedTuple):

@@ -88,10 +88,8 @@ class MessageGraph:
         return replace(self, x_obj=x_obj, x_rel=x_rel)
 
 
-def build_message_graph(x_obj, e_lang, x_rel, edges: list[tuple[int, int]],
-                        n: int) -> MessageGraph:
-    x_obj = x_obj if isinstance(x_obj, Tensor) else Tensor(np.atleast_2d(x_obj))
-    e_lang = e_lang if isinstance(e_lang, Tensor) else Tensor(np.atleast_2d(e_lang))
+def build_message_graph(x_obj: Tensor, e_lang: Tensor, x_rel: Tensor,
+                        edges: list[tuple[int, int]], n: int) -> MessageGraph:
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"edge ({i},{j}) invalid for {n} objects")

@@ -6,19 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, add_bias, glorot_uniform, matmul, relu, zeros_param
+from .autodiff import Tensor, add_bias, glorot_uniform, matmul, relu, zeros_param
 
 
 @dataclass
 class Affine:
-    """y = x @ w + b for a single vector or for rows of a matrix."""
+    """y = x @ w + b for each row of a matrix."""
 
     w: Tensor  # (d_in, d_out)
     b: Tensor  # (d_out,)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 1:
-            return add(matmul(x, self.w), self.b)
         return add_bias(matmul(x, self.w), self.b)
 
     def tensors(self) -> list[Tensor]:

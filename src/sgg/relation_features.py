@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, conv2d, flatten, flatten_rows, glorot_uniform, \
-    maxpool2d, relu, zeros_param
+from .autodiff import Tensor, concat_cols, conv2d, flatten_rows, glorot_uniform, maxpool2d, \
+    relu, zeros_param
 from .config import Dims
 from .nn import Affine, make_affine
 from .scenes import Box, SceneRecord, normalize_box, union_box
@@ -85,10 +85,6 @@ def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
     return flatten_rows(h)
 
 
-def spatial_feature(mask: np.ndarray, params: RelFeatParams) -> Tensor:
-    return flatten(spatial_features(np.asarray(mask)[None], params))
-
-
 def union_visual(scene: SceneRecord, i: int, j: int, d_union: int) -> np.ndarray:
     """Visual feature of the pair's union region.
 
@@ -112,18 +108,24 @@ def union_visual(scene: SceneRecord, i: int, j: int, d_union: int) -> np.ndarray
     return np.concatenate([raw, np.zeros(d_union - raw.shape[0])])
 
 
-def fuse_relation_features(visual: np.ndarray, spatial: Tensor,
-                           params: RelFeatParams) -> Tensor:
-    """Affine + ReLU over [visual, spatial] rows."""
-    return relu(params.fuse(concat_cols([Tensor(np.atleast_2d(visual)), spatial])))
+def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
+                  dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (len(pairs), 2, R, R) and union visuals (len(pairs), d_union).
 
-
-def relation_features(scene: SceneRecord, pairs: list[tuple[int, int]],
-                      params: RelFeatParams, dims: Dims) -> Tensor:
-    """Initial features for the retained pairs, one row per pair."""
+    Both depend on the scene alone, so callers build them once per pair list
+    and reuse them across parameter updates.
+    """
     if not pairs:
-        return Tensor(np.zeros((0, dims.d_rel)))
+        return np.zeros((0, 2, dims.mask_res, dims.mask_res)), np.zeros((0, dims.d_union))
     masks = np.stack([rasterize_mask(scene.proposals[i].box, scene.proposals[j].box,
                                      dims.mask_res) for i, j in pairs])
     visual = np.stack([union_visual(scene, i, j, dims.d_union) for i, j in pairs])
-    return fuse_relation_features(visual, spatial_features(masks, params), params)
+    return masks, visual
+
+
+def relation_features(masks: np.ndarray, visual: np.ndarray, params: RelFeatParams,
+                      dims: Dims) -> Tensor:
+    """Initial features, one row per pair: Affine + ReLU over [visual, conv(masks)]."""
+    if not len(masks):
+        return Tensor(np.zeros((0, dims.d_rel)))
+    return relu(params.fuse(concat_cols([Tensor(visual), spatial_features(masks, params)])))

@@ -17,7 +17,7 @@ distribution over object classes where index 0 is the background class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -107,10 +107,11 @@ class ObjectProposal:
     def __post_init__(self):
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
         object.__setattr__(self, "label_dist", np.asarray(self.label_dist, dtype=np.float64))
-        if not np.all(np.isfinite(self.feature)):
-            raise ValueError("proposal feature must be finite")
+        if self.feature.ndim != 1 or not np.all(np.isfinite(self.feature)):
+            raise ValueError("proposal feature must be a finite vector")
         d = self.label_dist
-        if d.ndim != 1 or np.any(d < -1e-12) or abs(d.sum() - 1.0) > 1e-6:
+        if d.ndim != 1 or not np.all(np.isfinite(d)) or np.any(d < -1e-12) \
+                or abs(d.sum() - 1.0) > 1e-6:
             raise ValueError("label_dist must be a distribution summing to 1 within 1e-6")
 
 
@@ -148,6 +149,10 @@ class SceneRecord:
                 raise ValueError(f"{self.id}: gt_triplets[{k}] relates an object to itself")
             if t.pred < 0:
                 raise ValueError(f"{self.id}: gt_triplets[{k}].pred is negative")
+        for name in ("feature", "label_dist"):
+            lengths = sorted({getattr(p, name).shape[0] for p in self.proposals})
+            if len(lengths) > 1:
+                raise ValueError(f"{self.id}: proposals mix {name} lengths {lengths}")
         n_prop = len(self.proposals)
         if self.pair_visual is not None:
             for (i, j), v in self.pair_visual.items():
@@ -170,13 +175,12 @@ class EmbeddingTable:
     """Fixed per-class embedding rows; row 0 (background) is the zero vector
     for tables built here, and soft label distributions embed as dist @ table."""
 
-    tokens: list[str]
     matrix: np.ndarray  # (n_classes, dim)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or len(self.tokens) != self.matrix.shape[0]:
-            raise ValueError("embedding table needs one token per row")
+        if self.matrix.ndim != 2:
+            raise ValueError("embedding table must be a matrix with one row per class")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("embedding table must be finite")
 
@@ -202,39 +206,7 @@ class EmbeddingTable:
         rng = np.random.default_rng([int(seed), 0x5EED])
         m = rng.normal(0.0, 1.0, size=(n_classes, dim))
         m[0] = 0.0
-        tokens = ["background"] + [f"class_{k}" for k in range(1, n_classes)]
-        return cls(tokens=tokens, matrix=m)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for tok, row in zip(self.tokens, self.matrix):
-                fh.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "EmbeddingTable":
-        tokens, rows = [], []
-        with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) < 2:
-                    raise ValueError(f"{path}: line {ln}: token with no values")
-                try:
-                    vals = [float(p) for p in parts[1:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {ln}: bad float") from exc
-                if rows and len(vals) != len(rows[0]):
-                    raise ValueError(f"{path}: line {ln}: inconsistent dimension")
-                tokens.append(parts[0])
-                rows.append(vals)
-        if not rows:
-            raise ValueError(f"{path}: empty embedding file")
-        return cls(tokens=tokens, matrix=np.array(rows))
-
-
-def embed_distribution(dist: np.ndarray, table: EmbeddingTable) -> np.ndarray:
-    return table.embed(dist)
+        return cls(matrix=m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +222,9 @@ def _box_from_json(v, where: str) -> Box:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _record_from_json(obj: dict, where: str) -> SceneRecord:
+def _record_from_json(obj, where: str) -> SceneRecord:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     try:
         rid = str(obj["id"])
     except KeyError:
@@ -258,6 +232,9 @@ def _record_from_json(obj: dict, where: str) -> SceneRecord:
     where = f"{where} ({rid})"
     try:
         size = obj["image_size"]
+        if not isinstance(size, list) or len(size) != 2:
+            raise ValueError(f"{where}: image_size must be [width, height]")
+        image_size = (float(size[0]), float(size[1]))
         props = []
         for k, p in enumerate(obj["proposals"]):
             props.append(ObjectProposal(
@@ -277,12 +254,12 @@ def _record_from_json(obj: dict, where: str) -> SceneRecord:
             for key, vec in obj["pair_visual"].items():
                 i, j = (int(s) for s in key.split(","))
                 pv[(i, j)] = np.array(vec, dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValueError) and str(exc).startswith(where):
             raise
         raise ValueError(f"{where}: {exc}") from exc
     try:
-        return SceneRecord(id=rid, image_size=(float(size[0]), float(size[1])),
+        return SceneRecord(id=rid, image_size=image_size,
                            proposals=tuple(props), gt_objects=tuple(gts),
                            gt_triplets=tuple(trips), pair_visual=pv)
     except ValueError as exc:

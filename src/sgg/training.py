@@ -8,26 +8,29 @@ negatives subsampled to at most ``negative_ratio`` times the positives per
 scene.  The main stage supervises every ordered pair, not only the ones the
 (frozen) relation filter would retain, so the classifier stays calibrated
 on whatever graph the filter or the confidence fallback keeps at inference;
-each scene's pair set is fixed and can be prepared once.
+each scene's pair set is fixed, so its ``model.scene_inputs`` are built once
+and every step runs ``model.forward``, the same pass inference runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import SgdMomentum, Tensor, add, backward, cross_entropy_with_softmax, \
-    gather_rows, softmax
+    gather_rows
 from .config import Dims, ModelConfig
-from .filter import SrfParams, init_srf_params, ordered_pairs, pair_inputs, srf_loss, \
-    srf_training_labels
-from .inference import object_logits, relation_logits
-from .message_passing import build_message_graph, run_message_passing
-from .model import ModelParams, init_model_params
-from .relation_features import fuse_relation_features, rasterize_mask, spatial_features, \
-    union_visual
-from .scenes import EmbeddingTable, SceneRecord, iou
+from .filter import SrfParams, gt_overlaps, init_srf_params, matched_triplets, ordered_pairs, \
+    pair_inputs, srf_loss, srf_training_labels
+from .model import ModelParams, SceneInputs, forward, init_model_params, scene_inputs
+from .scenes import EmbeddingTable, SceneRecord
+
+# Unused here: perfbench/tracer.py wraps these names in this module, so they must resolve.
+from .inference import object_logits, relation_logits  # noqa: F401,E402
+from .message_passing import build_message_graph  # noqa: F401,E402
+from .relation_features import rasterize_mask, spatial_features, union_visual  # noqa: F401,E402
+from .scenes import iou  # noqa: F401,E402
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
         pos = np.flatnonzero(labels == 1.0)
         neg = np.flatnonzero(labels == 0.0)
         total_pos += pos.size
-        cache.append((inputs, labels, pos, neg))
+        cache.append((scene.id, inputs, labels, pos, neg))
     if total_pos == 0:
         raise ValueError("relation filter training found no positive pairs in the corpus")
 
@@ -73,7 +76,7 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
     for epoch in range(1, tcfg.epochs + 1):
         opt.set_epoch(epoch)
         total, steps = 0.0, 0
-        for idx, (inputs, labels, pos, neg) in enumerate(cache):
+        for idx, (scene_id, inputs, labels, pos, neg) in enumerate(cache):
             if pos.size == 0:
                 continue
             rng = np.random.default_rng([tcfg.seed, 3, epoch, idx])
@@ -81,9 +84,9 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
             sel = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
             loss = srf_loss(inputs[sel], labels[sel], params)
+            total += _finite(loss, epoch, scene_id)
             backward(loss)
             opt.step()
-            total += loss.item()
             steps += 1
         history.append(total / max(steps, 1))
     return params, history
@@ -93,94 +96,58 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
 # stage 2: full model
 
 
-@dataclass(eq=False)
-class _Prepared:
-    scene: SceneRecord
-    edges: list[tuple[int, int]]
-    feats: np.ndarray
-    e_lang: np.ndarray
-    masks: np.ndarray
-    visual: np.ndarray
-    obj_targets: np.ndarray
-    rel_targets: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
+def _finite(loss: Tensor, epoch: int, scene_id: str) -> float:
+    """The loss value of one step; a non-finite one stops the run before the
+    parameters take the step."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise ValueError(f"epoch {epoch}, scene {scene_id}: training loss is {value}; "
+                         f"try a lower learning rate")
+    return value
 
 
 def _object_targets(scene: SceneRecord, match_iou: float) -> np.ndarray:
-    """Best-overlap gt class above the threshold, else background (ties keep
-    the lowest gt index)."""
-    targets = np.zeros(scene.n_proposals, dtype=np.intp)
-    for k, p in enumerate(scene.proposals):
-        best, best_iou = 0, match_iou
-        for g in scene.gt_objects:
-            v = iou(p.box, g.box)
-            # strictly greater, so exact ties keep the lowest gt index
-            if v > best_iou:
-                best, best_iou = g.cls, v
-        targets[k] = best
-    return targets
+    """Best-overlap gt class above the threshold, else background (exact ties
+    keep the lowest gt index, which ``argmax`` returns first)."""
+    if not scene.gt_objects:
+        return np.zeros(scene.n_proposals, dtype=np.intp)
+    ious = gt_overlaps(scene)
+    best = ious.argmax(axis=1)
+    classes = np.array([g.cls for g in scene.gt_objects], dtype=np.intp)
+    return np.where(ious[np.arange(scene.n_proposals), best] > match_iou, classes[best], 0)
 
 
 def _relation_targets(scene: SceneRecord, edges, dims: Dims,
                       match_iou: float) -> np.ndarray:
-    overlap = np.array([[iou(p.box, g.box) > match_iou for g in scene.gt_objects]
-                        for p in scene.proposals]) if scene.gt_objects else \
-        np.zeros((scene.n_proposals, 0), dtype=bool)
-    targets = np.full(len(edges), dims.no_relation, dtype=np.intp)
-    for k, (i, j) in enumerate(edges):
-        for t in scene.gt_triplets:
-            if overlap[i, t.sub] and overlap[j, t.obj]:
-                if t.pred >= dims.n_predicates:
-                    raise ValueError(f"{scene.id}: predicate {t.pred} out of range for "
-                                     f"{dims.n_predicates} predicates")
-                targets[k] = t.pred
-                break
+    """The predicate of the first gt triplet each edge localizes, else no-relation."""
+    match = matched_triplets(scene, edges, match_iou)
+    # index -1 (no match) picks the no-relation entry appended last
+    targets = np.array([t.pred for t in scene.gt_triplets] + [dims.no_relation],
+                       dtype=np.intp)[match]
+    if np.any(targets[match >= 0] >= dims.n_predicates):
+        raise ValueError(f"{scene.id}: predicate {targets.max()} out of range for "
+                         f"{dims.n_predicates} predicates")
     return targets
 
 
 def prepare_scene(scene: SceneRecord, params: ModelParams, config: ModelConfig,
-                  match_iou: float) -> _Prepared | None:
+                  match_iou: float) -> SceneInputs | None:
+    """Forward inputs over every ordered pair of the scene, plus the targets."""
     if scene.n_proposals == 0:
         return None
-    dims = config.dims
-    edges = ordered_pairs(scene.n_proposals)
-    feats = np.stack([p.feature for p in scene.proposals])
-    dists = np.stack([p.label_dist for p in scene.proposals])
-    if feats.shape[1] != dims.d_obj or dists.shape[1] != dims.n_classes:
-        raise ValueError(f"{scene.id}: feature or label_dist length does not match dims")
-    masks = np.stack([rasterize_mask(scene.proposals[i].box, scene.proposals[j].box,
-                                     dims.mask_res) for i, j in edges]) \
-        if edges else np.zeros((0, 2, dims.mask_res, dims.mask_res))
-    visual = np.stack([union_visual(scene, i, j, dims.d_union) for i, j in edges]) \
-        if edges else np.zeros((0, dims.d_union))
-    rel_targets = _relation_targets(scene, edges, dims, match_iou)
-    return _Prepared(scene=scene, edges=edges, feats=feats,
-                     e_lang=params.embed.embed(dists), masks=masks, visual=visual,
-                     obj_targets=_object_targets(scene, match_iou),
-                     rel_targets=rel_targets,
-                     pos=np.flatnonzero(rel_targets != dims.no_relation),
-                     neg=np.flatnonzero(rel_targets == dims.no_relation))
+    inputs = scene_inputs(scene, params, config, ordered_pairs(scene.n_proposals))
+    inputs.rel_targets = _relation_targets(scene, inputs.edges, config.dims, match_iou)
+    inputs.obj_targets = _object_targets(scene, match_iou)
+    return inputs
 
 
-def scene_loss(prep: _Prepared, params: ModelParams, config: ModelConfig,
+def scene_loss(prep: SceneInputs, params: ModelParams, config: ModelConfig,
                rel_rows: np.ndarray) -> Tensor:
     """Object cross-entropy plus relation cross-entropy on the selected rows."""
-    dims = config.dims
-    if prep.edges:
-        spatial = spatial_features(prep.masks, params.relfeat)
-        x_rel = fuse_relation_features(prep.visual, spatial, params.relfeat)
-    else:
-        x_rel = Tensor(np.zeros((0, dims.d_rel)))
-    g = build_message_graph(Tensor(prep.feats), Tensor(prep.e_lang), x_rel, prep.edges,
-                            prep.scene.n_proposals)
-    g = run_message_passing(g, params.ttst, config)
-    logits = object_logits(g.x_obj, params.head)
-    loss = cross_entropy_with_softmax(logits, prep.obj_targets)
+    out = forward(prep, params, config)
+    loss = cross_entropy_with_softmax(out.obj_logits, prep.obj_targets)
     if rel_rows.size:
-        rel_logits = relation_logits(g.x_rel, softmax(logits), prep.edges, params.head,
-                                     config)
-        loss = add(loss, cross_entropy_with_softmax(gather_rows(rel_logits, rel_rows),
+        loss = add(loss, cross_entropy_with_softmax(gather_rows(out.rel_logits, rel_rows),
                                                     prep.rel_targets[rel_rows]))
     return loss
 
@@ -207,13 +174,14 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
         total = 0.0
         for idx, prep in enumerate(prepared):
             rng = np.random.default_rng([tcfg.seed, 4, epoch, idx])
-            take = min(prep.neg.size, int(tcfg.negative_ratio * prep.pos.size))
-            rows = np.concatenate([prep.pos, np.sort(rng.choice(prep.neg, size=take,
-                                                                replace=False))]) \
-                if take else prep.pos
+            related = prep.rel_targets != config.dims.no_relation
+            pos, neg = np.flatnonzero(related), np.flatnonzero(~related)
+            take = min(neg.size, int(tcfg.negative_ratio * pos.size))
+            rows = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
+                if take else pos
             loss = scene_loss(prep, params, config, rows)
+            total += _finite(loss, epoch, prep.scene.id)
             backward(loss)
             opt.step()
-            total += loss.item()
         history.append(total / len(prepared))
     return params, history

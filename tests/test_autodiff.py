@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, add,
-                          add_bias, backward, binary_logistic_loss, concat,
-                          concat_cols, conv2d, cross_entropy_with_softmax,
+                          add_bias, backward, binary_logistic_loss, concat_cols,
+                          conv2d, cross_entropy_with_softmax,
                           finite_difference_check, flatten, flatten_rows,
-                          gather_rows, glorot_uniform, matmul, maxpool2d,
-                          mean_over_set, relu, scalar_mul, schedule_lr,
-                          segment_mean, sigmoid, softmax)
+                          gather_rows, glorot_uniform, matmul, maxpool2d, relu,
+                          schedule_lr, segment_mean, sigmoid, softmax)
 from sgg.gradcheck import check_all_ops
 
 
@@ -93,10 +92,7 @@ def test_binary_logistic_loss_at_zero_logits():
     assert loss.data.item() == pytest.approx(np.log(2.0))
 
 
-def test_mean_over_set_and_concat():
-    a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
-    np.testing.assert_array_equal(mean_over_set([a, b]).data, [2.0, 3.0])
-    np.testing.assert_array_equal(concat([a, b]).data, [1.0, 2.0, 3.0, 4.0])
+def test_concat_cols_joins_columns():
     m = concat_cols([Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 2)))])
     np.testing.assert_array_equal(m.data, [[1, 0, 0], [1, 0, 0]])
 
@@ -148,7 +144,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         maxpool2d(Tensor(np.ones((1, 1, 3, 4))))
     with pytest.raises(ShapeError):
-        concat([])
+        concat_cols([])
     with pytest.raises(ShapeError):
         cross_entropy_with_softmax(Tensor(np.zeros((2, 3))), [0])
 
@@ -242,11 +238,3 @@ def test_finite_difference_check_flags_a_wrong_gradient():
     err = finite_difference_check(wrong_square, np.array([1.0, 2.0, 3.0]))
     assert err > 1e-2
 
-
-def test_scalar_mul_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        err = finite_difference_check(
-            lambda x: matmul(flatten(scalar_mul(x, -2.5)), Tensor(np.ones(4))),
-            rng.normal(size=(2, 2)))
-        assert err < 1e-6

@@ -65,6 +65,22 @@ def test_load_rejects_truncated_values(tmp_path):
         load_params(path)
 
 
+def test_save_refuses_non_finite_values_and_writes_nothing(tmp_path):
+    path = tmp_path / "p.txt"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="parameter 'b' holds a non-finite value"):
+            save_params(path, {"a": np.zeros(2), "b": np.array([1.0, bad])})
+        assert not path.exists()
+
+
+def test_load_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "p.txt"
+    for token in ("nan", "inf", "-inf"):
+        path.write_text(f"sgg-checkpoint 1\nparam a 2\n1.0 2.0\nparam b 2\n1.0 {token}\n")
+        with pytest.raises(ValueError, match="parameter 'b' holds a non-finite value"):
+            load_params(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_params(tmp_path / "absent.txt")

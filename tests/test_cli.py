@@ -1,5 +1,7 @@
 """Command line behavior: settings precedence, exit codes, file outputs."""
 
+import json
+import os
 import re
 
 import numpy as np
@@ -189,6 +191,57 @@ def test_bad_k_list_exits_1(tmp_path, capsys):
     code = run(["eval", "--data", data, "--model", data, "--out",
                 str(tmp_path / "m"), "--k", "20,zero"])
     assert code == 1
+
+
+def _break_image_size_scalar(rec):
+    rec["image_size"] = 5
+
+
+def _break_image_size_short(rec):
+    rec["image_size"] = [1]
+
+
+def _break_to_list(rec):
+    return [rec["id"]]
+
+
+def _break_nan_label_dist(rec):
+    rec["proposals"][0]["label_dist"] = [float("nan")] * len(rec["proposals"][0]["label_dist"])
+
+
+def _break_feature_lengths(rec):
+    rec["proposals"][1]["feature"] = rec["proposals"][1]["feature"][:-1]
+
+
+def _break_label_dist_lengths(rec):
+    rec["proposals"][1]["label_dist"] = [0.5, 0.5]
+
+
+@pytest.mark.parametrize("breaker", [
+    _break_image_size_scalar, _break_image_size_short, _break_to_list,
+    _break_nan_label_dist, _break_feature_lengths, _break_label_dist_lengths,
+])
+def test_malformed_corpus_line_exits_1_naming_the_line(tmp_path, capsys, breaker):
+    lines = open(gen_corpus(tmp_path)).read().splitlines()
+    rec = json.loads(lines[1])
+    broken = breaker(rec)
+    path = write(tmp_path / "broken.jsonl",
+                 "\n".join([lines[0], json.dumps(rec if broken is None else broken)]) + "\n")
+    capsys.readouterr()
+    assert run(["train-srf", "--data", path, "--out", str(tmp_path / "f.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 2" in err, err
+
+
+def test_diverging_training_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
+    data = gen_corpus(tmp_path)
+    cfg = write(tmp_path / "t.cfg", SRF_CFG.replace("lr = 0.05", "lr = 100"))
+    out = tmp_path / "m.ckpt"
+    assert run(["train", "--data", data, "--no-srf", "--out", str(out),
+                "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"epoch \d+, scene scene-\d+: training loss is", err), err
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

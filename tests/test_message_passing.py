@@ -41,7 +41,7 @@ def mlp_np(mlp, x):
 
 
 def test_triangle_neighbor_indices():
-    g = build_message_graph(np.zeros((3, DIMS.d_obj)), np.zeros((3, DIMS.d_emb)),
+    g = build_message_graph(Tensor(np.zeros((3, DIMS.d_obj))), Tensor(np.zeros((3, DIMS.d_emb))),
                             Tensor(np.zeros((3, DIMS.d_rel))),
                             [(0, 1), (1, 2), (0, 2)], 3)
     np.testing.assert_array_equal(g.oo_tgt, [0, 0, 1, 1, 2, 2])

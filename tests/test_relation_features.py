@@ -5,9 +5,8 @@ import pytest
 
 from sgg.autodiff import Tensor, finite_difference_check_params
 from sgg.config import Dims
-from sgg.relation_features import (fuse_relation_features, init_relfeat_params,
-                                   rasterize_mask, relation_features,
-                                   spatial_features, union_visual)
+from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
+                                   relation_features, spatial_features, union_visual)
 from sgg.scenes import Box, ObjectProposal, SceneRecord
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
@@ -71,9 +70,12 @@ def test_relation_features_shapes_and_empty():
                   for k in range(3))
     scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
                         gt_objects=(), gt_triplets=())
-    out = relation_features(scene, [(0, 1), (2, 0)], params, DIMS)
+    masks, visual = pair_geometry(scene, [(0, 1), (2, 0)], DIMS)
+    assert masks.shape == (2, 2, DIMS.mask_res, DIMS.mask_res)
+    assert visual.shape == (2, DIMS.d_union)
+    out = relation_features(masks, visual, params, DIMS)
     assert out.data.shape == (2, DIMS.d_rel)
-    empty = relation_features(scene, [], params, DIMS)
+    empty = relation_features(*pair_geometry(scene, [], DIMS), params, DIMS)
     assert empty.data.shape == (0, DIMS.d_rel)
 
 
@@ -117,8 +119,7 @@ def test_conv_chain_gradients():
     visual = rng.normal(size=(1, DIMS.d_union))
 
     def loss():
-        spatial = spatial_features(masks, params)
-        fused = fuse_relation_features(visual, spatial, params)
+        fused = relation_features(masks, visual, params, DIMS)
         from sgg.autodiff import flatten, matmul
         return matmul(flatten(fused), Tensor(np.ones(DIMS.d_rel)))
 

@@ -72,6 +72,13 @@ def test_srf_rejects_corpus_without_positives():
         train_srf(scenes, embed, DIMS, TrainConfig(epochs=1))
 
 
+def test_srf_stops_on_a_non_finite_loss():
+    scenes = [related_scene(f"s{k}", dx=float(k)) for k in range(4)]
+    embed = EmbeddingTable.seeded(3, 4, seed=9)
+    with pytest.raises(ValueError, match=r"epoch \d+, scene s\d: training loss is nan"):
+        train_srf(scenes, embed, DIMS, TrainConfig(epochs=3, lr=1e300, seed=0))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(lr=0.0)
@@ -152,7 +159,7 @@ def test_relation_targets_no_relation_unless_matched():
     assert targets[(0, 1)] == 0  # the gt predicate
     no_rel = config.dims.no_relation
     assert all(t == no_rel for e, t in targets.items() if e != (0, 1))
-    assert list(prep.pos) == [prep.edges.index((0, 1))]
+    assert list(np.flatnonzero(prep.rel_targets != no_rel)) == [prep.edges.index((0, 1))]
 
 
 def test_relation_target_out_of_range_predicate():
