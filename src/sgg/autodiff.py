@@ -9,6 +9,13 @@ order derivatives.
 
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
+
+The ops: ``add``, ``add_bias``, ``matmul``, ``concat_cols``, ``relu``,
+``sigmoid``, ``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
+target-tailored message direction: split-first-layer MLP over
+[target; source] rows, then the mean per target), ``conv2d``,
+``maxpool2d``, ``flatten``, ``flatten_rows``, ``softmax``,
+``cross_entropy_with_softmax`` and ``binary_logistic_loss``.
 """
 
 from __future__ import annotations
@@ -190,7 +197,7 @@ def relu(x: Tensor) -> Tensor:
     def back(g):
         _accumulate(x, g * mask)
 
-    return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), back)
+    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -212,6 +219,20 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), back)
 
 
+def _segment_sum(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``num_segments`` rows by id.
+
+    Rows are added in row order, as ``np.add.at`` adds them, so the result
+    is the same bit for bit; ids that no row has give zero rows.  One
+    ``bincount`` over the flattened (id, column) cells is several times
+    faster than ``np.add.at``.
+    """
+    width = values.shape[1]
+    cells = (ids[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(cells, weights=values.ravel(),
+                       minlength=num_segments * width).reshape(num_segments, width)
+
+
 def gather_rows(m: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; duplicate indices sum their gradients."""
     if m.data.ndim != 2:
@@ -223,11 +244,8 @@ def gather_rows(m: Tensor, indices) -> Tensor:
         raise ShapeError("gather_rows: index out of range")
 
     def back(g):
-        if not m.requires_grad:
-            return
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        np.add.at(m.grad, idx, g)
+        if m.requires_grad:
+            _accumulate(m, _segment_sum(g, idx, m.data.shape[0]))
 
     return Tensor._from_op(m.data[idx], (m,), back)
 
@@ -243,13 +261,74 @@ def segment_mean(m: Tensor, segment_ids, num_segments: int) -> Tensor:
         raise ShapeError("segment_mean: segment id out of range")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     denom = np.maximum(counts, 1.0)
-    sums = np.zeros((num_segments, m.data.shape[1]))
-    np.add.at(sums, seg, m.data)
+    sums = _segment_sum(m.data, seg, num_segments)
 
     def back(g):
         _accumulate(m, g[seg] / denom[seg, None])
 
     return Tensor._from_op(sums / denom[:, None], (m,), back)
+
+
+def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, relu_out: bool) -> Tensor:
+    """Per-target mean of a two-layer MLP over [target; source] message rows.
+
+    Row r reads target ``t_idx[r]`` of ``x_t`` and source ``s_idx[r]`` of
+    ``x_s``; output row i is the mean over the rows with ``t_idx == i`` (a
+    zero row when there are none).  It equals ``segment_mean`` of the MLP
+    (ReLU between the layers, optionally after the second) on
+    ``concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])``,
+    but the first layer is split,
+    ``[x_t[t]; x_s[s]] w1 + b1 = (x_t w1[:d_t] + b1)[t] + (x_s w1[d_t:])[s]``,
+    so each target and source is projected once instead of once per row,
+    and the backward pass sums the row gradients onto targets and sources
+    before it multiplies by ``w1`` and the inputs.
+    """
+    if x_t.data.ndim != 2 or x_s.data.ndim != 2:
+        raise ShapeError("message_mean: targets and sources must be matrices")
+    t = np.asarray(t_idx, dtype=np.intp)
+    s = np.asarray(s_idx, dtype=np.intp)
+    if t.ndim != 1 or t.shape != s.shape:
+        raise ShapeError("message_mean: index arrays must be 1-D and of equal length")
+    (n_t, d_t), (n_s, d_s) = x_t.data.shape, x_s.data.shape
+    if t.size and (t.min() < 0 or t.max() >= n_t or s.min() < 0 or s.max() >= n_s):
+        raise ShapeError("message_mean: index out of range")
+    hidden = b1.data.shape[0] if b1.data.ndim == 1 else -1
+    if (w1.data.shape != (d_t + d_s, hidden) or w2.data.ndim != 2
+            or w2.data.shape[0] != hidden or b2.data.shape != (w2.data.shape[1],)):
+        raise ShapeError(f"message_mean: weights {w1.data.shape}, {b1.data.shape}, "
+                         f"{w2.data.shape}, {b2.data.shape} do not fit inputs of width "
+                         f"{d_t} + {d_s}")
+    w1_t, w1_s = w1.data[:d_t], w1.data[d_t:]
+    h1 = (x_t.data @ w1_t + b1.data)[t]
+    h1 += (x_s.data @ w1_s)[s]
+    np.maximum(h1, 0.0, out=h1)
+    z2 = h1 @ w2.data
+    z2 += b2.data
+    if relu_out:
+        np.maximum(z2, 0.0, out=z2)
+    denom = np.maximum(np.bincount(t, minlength=n_t), 1).astype(np.float64)[:, None]
+
+    def back(g):
+        gz2 = (g / denom)[t]
+        if relu_out:
+            gz2 *= z2 > 0
+        _accumulate(w2, h1.T @ gz2)
+        _accumulate(b2, gz2.sum(axis=0))
+        gz1 = gz2 @ w2.data.T
+        gz1 *= h1 > 0
+        g_t = _segment_sum(gz1, t, n_t)
+        g_s = _segment_sum(gz1, s, n_s)
+        _accumulate(b1, g_t.sum(axis=0))
+        if w1.requires_grad:
+            _accumulate(w1, np.concatenate([x_t.data.T @ g_t, x_s.data.T @ g_s]))
+        if x_t.requires_grad:
+            _accumulate(x_t, g_t @ w1_t.T)
+        if x_s.requires_grad:
+            _accumulate(x_s, g_s @ w1_s.T)
+
+    out = _segment_sum(z2, t, n_t) / denom
+    return Tensor._from_op(out, (x_t, x_s, w1, b1, w2, b2), back)
 
 
 # ---------------------------------------------------------------------------

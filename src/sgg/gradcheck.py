@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import (Tensor, add, add_bias, binary_logistic_loss, concat_cols, conv2d,
                        cross_entropy_with_softmax, finite_difference_check,
                        finite_difference_check_params, flatten, flatten_rows, gather_rows,
-                       matmul, maxpool2d, relu, segment_mean, sigmoid, softmax)
+                       matmul, maxpool2d, message_mean, relu, segment_mean, sigmoid, softmax)
 from .config import Dims, ModelConfig
 from .model import init_model_params
 from .scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet
@@ -71,6 +71,17 @@ def check_all_ops(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
           rng.normal(size=(4, 3)))
     check("segment_mean", lambda x: segment_mean(x, [0, 0, 2, 2, 2], 4),
           rng.normal(size=(5, 3)))
+
+    # targets 0 and 2 (target 1 has no rows), sources of another width; the
+    # check replaces one of the six inputs at a time with the probed leaf
+    mm = [rng.normal(size=shape) for shape in ((3, 2), (4, 3), (5, 4), 4, (4, 3), 3)]
+    for k, x0 in enumerate(mm):
+        def build(x, k=k):
+            a = [x if i == k else Tensor(v) for i, v in enumerate(mm)]
+            return message_mean(a[0], [0, 0, 2, 2, 2], a[1], [1, 3, 0, 3, 3], *a[2:],
+                                relu_out=True)
+
+        check("message_mean", build, x0)
 
     cw = rng.normal(size=(3, 2, 3, 3))
     cb = rng.normal(size=3)

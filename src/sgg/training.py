@@ -49,6 +49,11 @@ class TrainConfig:
             raise ValueError("bad supervision settings")
 
 
+# A diverging step overflows; ``_finite``'s loss check reports it, so numpy's
+# floating-point warnings would only repeat it on stderr.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 # ---------------------------------------------------------------------------
 # stage 1: relation filter
 
@@ -83,10 +88,11 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
             take = min(neg.size, int(tcfg.negative_ratio * pos.size))
             sel = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
-            loss = srf_loss(inputs[sel], labels[sel], params)
-            total += _finite(loss, epoch, scene_id)
-            backward(loss)
-            opt.step()
+            with np.errstate(**_QUIET):
+                loss = srf_loss(inputs[sel], labels[sel], params)
+                total += _finite(loss, epoch, scene_id)
+                backward(loss)
+                opt.step()
             steps += 1
         history.append(total / max(steps, 1))
     return params, history
@@ -179,9 +185,10 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
             take = min(neg.size, int(tcfg.negative_ratio * pos.size))
             rows = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
-            loss = scene_loss(prep, params, config, rows)
-            total += _finite(loss, epoch, prep.scene.id)
-            backward(loss)
-            opt.step()
+            with np.errstate(**_QUIET):
+                loss = scene_loss(prep, params, config, rows)
+                total += _finite(loss, epoch, prep.scene.id)
+                backward(loss)
+                opt.step()
         history.append(total / len(prepared))
     return params, history

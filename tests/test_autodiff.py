@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, add,
+from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segment_sum, add,
                           add_bias, backward, binary_logistic_loss, concat_cols,
                           conv2d, cross_entropy_with_softmax,
                           finite_difference_check, flatten, flatten_rows,
-                          gather_rows, glorot_uniform, matmul, maxpool2d, relu,
-                          schedule_lr, segment_mean, sigmoid, softmax)
+                          gather_rows, glorot_uniform, matmul, maxpool2d, message_mean,
+                          relu, schedule_lr, segment_mean, sigmoid, softmax)
 from sgg.gradcheck import check_all_ops
 
 
@@ -48,6 +50,31 @@ def test_segment_mean_leaves_empty_segments_zero():
     m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     out = segment_mean(m, [0, 0, 2], 3)
     np.testing.assert_array_equal(out.data, [[2.0, 3.0], [0.0, 0.0], [5.0, 6.0]])
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 12),
+       segments=st.integers(1, 6), width=st.integers(1, 4))
+@example(seed=0, rows=0, segments=3, width=2)   # no rows at all
+@example(seed=1, rows=8, segments=2, width=3)   # every id repeated
+def test_segment_sums_match_add_at(seed, rows, segments, width):
+    """``_segment_sum``, the ``gather_rows`` gradient and ``segment_mean`` add
+    rows in the order ``np.add.at`` does, so they match it bit for bit;
+    segments no row names (likely with few rows) stay zero."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, segments, rows).astype(np.intp)
+    values = rng.normal(size=(rows, width))
+    expect = np.zeros((segments, width))
+    np.add.at(expect, ids, values)
+    np.testing.assert_array_equal(_segment_sum(values, ids, segments), expect)
+
+    m = Tensor(rng.normal(size=(segments, width)), requires_grad=True)
+    backward(matmul(flatten(gather_rows(m, ids)), Tensor(values.reshape(-1))))
+    np.testing.assert_array_equal(m.grad, expect)
+
+    counts = np.maximum(np.bincount(ids, minlength=segments), 1)[:, None]
+    np.testing.assert_array_equal(segment_mean(Tensor(values), ids, segments).data,
+                                  expect / counts)
 
 
 def test_conv2d_hand_computed():
@@ -147,6 +174,11 @@ def test_shape_errors():
         concat_cols([])
     with pytest.raises(ShapeError):
         cross_entropy_with_softmax(Tensor(np.zeros((2, 3))), [0])
+    x, w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in ((2, 3), (6, 4), (4,), (4, 2), (2,)))
+    with pytest.raises(ShapeError, match="out of range"):
+        message_mean(x, [0, 2], x, [1, 0], w1, b1, w2, b2, relu_out=True)
+    with pytest.raises(ShapeError, match="do not fit"):
+        message_mean(x, [0, 1], x, [1, 0], w1, b1, b1, b2, relu_out=True)
 
 
 def test_nonfinite_leaf_rejected():

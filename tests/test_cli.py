@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ def test_diverging_training_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"epoch \d+, scene scene-\d+: training loss is", err), err
     assert not os.path.exists(out)
+
+
+def test_diverging_training_reports_without_numpy_warnings(tmp_path):
+    """The loss check reports a diverging run on its own: no overflow warning
+    escapes a training step before it."""
+    data = gen_corpus(tmp_path)
+    cfg = write(tmp_path / "t.cfg", SRF_CFG.replace("lr = 0.05", "lr = 100"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["train", "--data", data, "--no-srf", "--out", str(tmp_path / "m.ckpt"),
+                    "--config", cfg]) == 1
 
 
 # ---------------------------------------------------------------------------

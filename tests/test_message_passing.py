@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sgg.autodiff import Tensor
+from sgg.autodiff import (Tensor, backward, concat_cols, flatten, gather_rows, matmul,
+                          segment_mean)
 from sgg.config import ALL_DIRECTIONS, Dims, ModelConfig
-from sgg.message_passing import (BaselineParams, baseline_shared_update,
+from sgg.message_passing import (BaselineParams, _message_mean, baseline_shared_update,
                                  build_message_graph, init_baseline_params,
                                  init_ttst_params, run_message_passing)
+from sgg.nn import make_mlp
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=5, d_emb=3, d_union=6, d_rel=4,
             mask_res=12, conv1_channels=2, conv2_channels=2)
@@ -59,6 +63,114 @@ def test_rejects_bad_edges():
         build_message_graph(x, e, Tensor(np.zeros((1, 4))), [(0, 0)], 2)
     with pytest.raises(ValueError):
         build_message_graph(x, e, Tensor(np.zeros((1, 4))), [(0, 2)], 2)
+
+
+INDEX_FIELDS = ("oo_tgt", "oo_src", "ro_node", "ro_edge", "or_edge", "or_node",
+                "rr_tgt", "rr_src")
+
+
+def set_loop_indices(edges, n):
+    """The index arrays as the builder made them with Python sets before it
+    was vectorized; kept as the oracle of the current builder."""
+    neighbors = [set() for _ in range(n)]
+    incident = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(edges):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+        incident[i].append(k)
+        incident[j].append(k)
+    oo = [(i, j) for i in range(n) for j in sorted(neighbors[i])]
+    ro = [(i, k) for i in range(n) for k in incident[i]]
+    orr = [(k, m) for k, (i, j) in enumerate(edges) for m in (i, j)]
+    rr = [(k, k2) for k, (i, j) in enumerate(edges)
+          for k2 in sorted((set(incident[i]) | set(incident[j])) - {k})]
+    out = {}
+    for names, pairs in zip(np.reshape(INDEX_FIELDS, (4, 2)), (oo, ro, orr, rr)):
+        arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        out[names[0]], out[names[1]] = arr[:, 0], arr[:, 1]
+    return out
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and a valid edge list over it, repeats allowed."""
+    n = draw(st.integers(1, 7))
+    pool = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, draw(st.lists(st.sampled_from(pool), max_size=30)) if pool else []
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists())
+@example((1, []))
+@example((4, []))
+@example((3, [(0, 1), (0, 1), (1, 0)]))
+def test_vectorized_builder_matches_set_loops(case):
+    n, edges = case
+    g = build_message_graph(Tensor(np.zeros((n, 1))), Tensor(np.zeros((n, 1))),
+                            Tensor(np.zeros((len(edges), 1))), edges, n)
+    for name, expect in set_loop_indices(edges, n).items():
+        got = getattr(g, name)
+        assert got.dtype == np.intp and np.array_equal(got, expect), name
+
+
+# ---------------------------------------------------------------------------
+# the fused message op against the composition it replaced
+
+
+def composed_message_mean(mlp, x_t, t_idx, x_s, s_idx):
+    """Gather both ends, concatenate, run the MLP on every row, mean per target."""
+    inp = concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])
+    return segment_mean(mlp(inp), t_idx, x_t.data.shape[0])
+
+
+def direction_inputs(g):
+    """(target rows, target ids, source rows or None for "same as target",
+    source ids) of the four directions of ``g``."""
+    obj = np.concatenate([g.x_obj.data, g.e_lang.data], axis=1)
+    return [(obj, g.oo_tgt, None, g.oo_src),
+            (g.x_obj.data, g.ro_node, g.x_rel.data, g.ro_edge),
+            (g.x_rel.data, g.or_edge, g.x_obj.data, g.or_node),
+            (g.x_rel.data, g.rr_tgt, None, g.rr_src)]
+
+
+def output_and_grads(op, mlp, x_t, t_idx, x_s, s_idx, probe):
+    """The op's output and the gradients of <output, probe> for every input."""
+    for p in mlp.tensors():
+        p.grad[...] = 0.0
+    leaves = [Tensor(x, requires_grad=True) for x in ([x_t] if x_s is None else [x_t, x_s])]
+    out = op(mlp, leaves[0], t_idx, leaves[-1], s_idx)
+    backward(matmul(flatten(out), Tensor(probe.reshape(-1))))
+    return [out.data] + [t.grad.copy() for t in leaves] + [p.grad.copy() for p in mlp.tensors()]
+
+
+def oracle_graphs():
+    rng = np.random.default_rng(61)
+    yield from (random_graph(rng) for _ in range(8))
+    n = 8
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
+    yield build_message_graph(Tensor(rng.normal(size=(n, DIMS.d_obj))),
+                              Tensor(rng.normal(size=(n, DIMS.d_emb))),
+                              Tensor(rng.normal(size=(len(edges), DIMS.d_rel))), edges, n)
+    edges = [(0, 1), (1, 2), (2, 0), (3, 1)]  # node 4 has no neighbours
+    yield build_message_graph(Tensor(rng.normal(size=(5, DIMS.d_obj))),
+                              Tensor(rng.normal(size=(5, DIMS.d_emb))),
+                              Tensor(rng.normal(size=(len(edges), DIMS.d_rel))), edges, 5)
+
+
+@pytest.mark.parametrize("relu_out", [True, False])
+def test_message_mean_matches_the_composition(relu_out):
+    rng = np.random.default_rng(62)
+    for g in oracle_graphs():
+        for x_t, t_idx, x_s, s_idx in direction_inputs(g):
+            d_s = (x_t if x_s is None else x_s).shape[1]
+            mlp = make_mlp(rng, x_t.shape[1] + d_s, 6, 5, relu_out=relu_out)
+            probe = rng.normal(size=(x_t.shape[0], 5))
+            fused = output_and_grads(_message_mean, mlp, x_t, t_idx, x_s, s_idx, probe)
+            composed = output_and_grads(composed_message_mean, mlp, x_t, t_idx, x_s, s_idx,
+                                        probe)
+            for a, b in zip(fused, composed):
+                err, scale = np.abs(a - b).max(initial=0.0), np.abs(b).max(initial=0.0)
+                assert err <= 1e-12 * scale, (err, scale)
 
 
 # ---------------------------------------------------------------------------
