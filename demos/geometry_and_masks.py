@@ -28,7 +28,7 @@ for name, sub, obj in PAIRS:
     u = union_box(sub, obj)
     print(f"--- {name}: subject is '{rel}' the object "
           f"(iou {iou(sub, obj):.2f}, union {u.w:.0f}x{u.h:.0f})")
-    masks = rasterize_mask(sub, obj, resolution=12)
+    masks = rasterize_mask([sub.as_list()], [obj.as_list()], resolution=12)[0]
     rows = [a + "   " + b for a, b in zip(ascii_mask(masks[0]).splitlines(),
                                           ascii_mask(masks[1]).splitlines())]
     print("subject channel | object channel")

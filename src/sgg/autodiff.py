@@ -4,8 +4,11 @@ Values live in :class:`Tensor` objects.  Every operation computes its result
 eagerly and records a backward closure plus references to its inputs; the
 resulting implicit tape is replayed by :func:`backward` in exact reverse
 creation order.  The op zoo is only what the relation-graph pipeline needs:
-no general broadcasting (bias addition is its own op), no views, no higher
-order derivatives.
+no general broadcasting (bias addition is its own op), no view ops, no
+higher order derivatives.  An op's result may still be a transposed view of
+its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored channel-major,
+``relu`` and ``maxpool2d`` keep that layout, and the next ``conv2d`` then
+reads each channel's instances contiguously.
 
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
@@ -13,8 +16,11 @@ embedding matrix, so they need no dedicated op.
 The ops: ``add``, ``add_bias``, ``matmul``, ``concat_cols``, ``relu``,
 ``sigmoid``, ``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
 target-tailored message direction: split-first-layer MLP over
-[target; source] rows, then the mean per target), ``conv2d``,
-``maxpool2d``, ``flatten``, ``flatten_rows``, ``softmax``,
+[target; source] rows, then the mean per target), ``conv2d`` (im2col
+over blocks of instances of about ``CONV_BLOCK_BYTES``, one GEMM per block;
+backward recomputes a block's columns instead of storing them, so memory is
+the output plus one block), ``maxpool2d`` (the max of the four stride-2
+views), ``flatten``, ``flatten_rows``, ``softmax``,
 ``cross_entropy_with_softmax`` and ``binary_logistic_loss``.
 """
 
@@ -334,9 +340,34 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
 # ---------------------------------------------------------------------------
 # spatial ops (stride-1 valid convolution, 2x2 max pooling)
 
+# conv2d works through its instances in blocks whose im2col columns take
+# about this many bytes (float64), so its memory is O(output + one block)
+CONV_BLOCK_BYTES = 2 << 20
+
+
+def _columns(xb: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
+    """im2col of a block (m, Cin, H, W): (Cin*kh*kw, m*oh*ow), channel-major.
+
+    Row (c, p, q) holds the (p, q)-shifted window of channel c for every
+    instance and output cell, so it is filled with kh*kw slice copies.
+    """
+    m, cin = xb.shape[:2]
+    cols = np.empty((cin, kh, kw, m, oh, ow))
+    xc = xb.transpose(1, 0, 2, 3)
+    for p in range(kh):
+        for q in range(kw):
+            cols[:, p, q] = xc[:, :, p:p + oh, q:q + ow]
+    return cols.reshape(cin * kh * kw, m * oh * ow)
+
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid convolution of (N, Cin, H, W) with (Cout, Cin, kh, kw) plus bias."""
+    """Valid convolution of (N, Cin, H, W) with (Cout, Cin, kh, kw) plus bias.
+
+    One GEMM ``w.reshape(Cout, -1) @ cols`` per block of instances
+    (``CONV_BLOCK_BYTES``); the backward pass recomputes each block's columns
+    instead of keeping them.  The result is an (N, Cout, oh, ow) transposed
+    view of a channel-major (Cout, N, oh, ow) buffer.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError("conv2d: expected x(N,C,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
     n, cin, h, wd = x.data.shape
@@ -346,43 +377,64 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if h < kh or wd < kw:
         raise ShapeError(f"conv2d: input {h}x{wd} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, wd - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, cin * kh * kw)
+    step = max(1, CONV_BLOCK_BYTES // (8 * cin * kh * kw * oh * ow))
+    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     wf = w.data.reshape(cout, -1)
-    out_flat = cols @ wf.T + b.data
-    out = out_flat.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = np.empty((cout, n, oh, ow))
+    for blk in blocks:
+        cols = _columns(x.data[blk], kh, kw, oh, ow)
+        out[:, blk] = (wf @ cols).reshape(cout, -1, oh, ow)
+    out += b.data[:, None, None, None]
 
     def back(g):
-        gf = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
-        _accumulate(b, gf.sum(axis=0))
-        _accumulate(w, (gf.T @ cols).reshape(w.data.shape))
-        if x.requires_grad:
-            gcols = (gf @ wf).reshape(n, oh, ow, cin, kh, kw)
-            gx = np.zeros_like(x.data)
-            for p in range(kh):
-                for q in range(kw):
-                    gx[:, :, p : p + oh, q : q + ow] += gcols[:, :, :, :, p, q].transpose(0, 3, 1, 2)
-            _accumulate(x, gx)
+        gt = g.transpose(1, 0, 2, 3)
+        _accumulate(b, gt.sum(axis=(1, 2, 3)))
+        gw = np.zeros_like(wf)
+        gx = np.zeros((cin, n, h, wd)) if x.requires_grad else None
+        for blk in blocks:
+            gc = gt[:, blk].reshape(cout, -1)
+            gw += gc @ _columns(x.data[blk], kh, kw, oh, ow).T
+            if gx is not None:
+                gcols = (wf.T @ gc).reshape(cin, kh, kw, -1, oh, ow)
+                gxb = gx[:, blk]
+                for p in range(kh):
+                    for q in range(kw):
+                        gxb[:, :, p:p + oh, q:q + ow] += gcols[:, p, q]
+        _accumulate(w, gw.reshape(w.data.shape))
+        if gx is not None:
+            _accumulate(x, gx.transpose(1, 0, 2, 3))
 
-    return Tensor._from_op(out, (x, w, b), back)
+    return Tensor._from_op(out.transpose(1, 0, 2, 3), (x, w, b), back)
 
 
 def maxpool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max."""
+    """2x2 max pooling with stride 2; ties route the gradient to the first max.
+
+    The output is the elementwise max of the four stride-2 views and keeps
+    the memory layout of ``x``.  Backward gives each gradient to the first
+    of the offsets (0,0), (0,1), (1,0), (1,1) whose value equals the output,
+    the entry an argmax over the window picks.  Zeros of either sign tie, so
+    a window holding both may pool to either.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: expected (N,C,H,W), got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    r = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = r.argmax(axis=-1)
-    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    pairs = np.maximum(x.data[..., 0::2], x.data[..., 1::2])  # max of each column pair
+    out = np.maximum(pairs[:, :, 0::2], pairs[:, :, 1::2])
 
     def back(g):
-        gr = np.zeros((n, c, h2, w2, 4))
-        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        gx = gr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        # the first max is in the first row whose column-pair max equals the
+        # output, and in that row's first column holding it
+        top = pairs[:, :, 0::2] == out
+        g_rows = np.empty_like(pairs)
+        np.multiply(g, top, out=g_rows[:, :, 0::2])
+        np.multiply(g, ~top, out=g_rows[:, :, 1::2])
+        left = x.data[..., 0::2] == pairs
+        gx = np.empty_like(x.data)
+        np.multiply(g_rows, left, out=gx[..., 0::2])
+        np.multiply(g_rows, ~left, out=gx[..., 1::2])
         _accumulate(x, gx)
 
     return Tensor._from_op(out, (x,), back)

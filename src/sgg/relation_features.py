@@ -6,6 +6,12 @@ passed through a small conv stack, and fused with a visual feature of the
 union region by one affine layer with ReLU.  When the scene carries no
 pooled pair visual, a surrogate is built from the two proposal features and
 their normalized boxes.
+
+``pair_geometry`` rasterizes every pair of a list in one ``rasterize_mask``
+call (row and column interval indicators, then their outer product).  The
+conv stack runs on ``autodiff.conv2d``, which works in blocks of pairs, so
+its memory grows with the conv outputs, not with an im2col matrix of every
+pair.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .autodiff import Tensor, concat_cols, conv2d, flatten_rows, glorot_uniform,
     relu, zeros_param
 from .config import Dims
 from .nn import Affine, make_affine
-from .scenes import Box, SceneRecord, normalize_box, union_box
+from .scenes import SceneRecord, normalize_box, union_box
 
 
 @dataclass
@@ -50,29 +56,33 @@ def init_relfeat_params(dims: Dims, rng: np.random.Generator) -> RelFeatParams:
     )
 
 
-def rasterize_mask(box_i: Box, box_j: Box, resolution: int) -> np.ndarray:
-    """Two-channel binary occupancy grid of the pair on its union box.
+def rasterize_mask(sub_boxes, obj_boxes, resolution: int) -> np.ndarray:
+    """Two-channel binary occupancy grids of box pairs on their union boxes.
 
-    Cell (r, c) of channel k is set iff the cell's center, in coordinates
-    normalized to the union box, falls inside box k.  A box too thin to
-    cover any cell center still contributes its center cell, so a channel is
-    never all zero.
+    ``sub_boxes`` and ``obj_boxes`` are (P, 4) arrays of [x, y, w, h]; the
+    result is (P, 2, R, R) with channel 0 the subject and 1 the object.
+    Cell (r, c) of a channel is set iff the cell's center, in coordinates
+    normalized to the union box, falls inside that box: the outer product of
+    a row and a column interval indicator.  A box too thin to cover any cell
+    center still contributes its center cell, so a channel is never all
+    zero.
     """
     if resolution < 1:
         raise ValueError("mask resolution must be positive")
-    u = union_box(box_i, box_j)
-    mask = np.zeros((2, resolution, resolution))
+    boxes = np.stack([np.asarray(sub_boxes, dtype=np.float64).reshape(-1, 4),
+                      np.asarray(obj_boxes, dtype=np.float64).reshape(-1, 4)], axis=1)
+    lo = boxes[..., :2].min(axis=1, keepdims=True)
+    size = (boxes[..., :2] + boxes[..., 2:]).max(axis=1, keepdims=True) - lo
+    start = (boxes[..., :2] - lo) / size  # (P, 2, [x, y]) in the union's frame
+    extent = boxes[..., 2:] / size
     centers = (np.arange(resolution) + 0.5) / resolution
-    for k, b in enumerate((box_i, box_j)):
-        x, y, w, h = normalize_box(b, u)
-        inside = (centers[:, None] >= y) & (centers[:, None] < y + h) \
-            & (centers[None, :] >= x) & (centers[None, :] < x + w)
-        if not inside.any():
-            r = min(int((y + h / 2) * resolution), resolution - 1)
-            c = min(int((x + w / 2) * resolution), resolution - 1)
-            inside[max(r, 0), max(c, 0)] = True
-        mask[k] = inside
-    return mask
+    inside = (centers >= start[..., None]) & (centers < (start + extent)[..., None])
+    empty = ~inside.any(axis=-1).all(axis=-1)  # (P, 2): no cell center is covered
+    if empty.any():
+        cell = ((start + extent / 2) * resolution).astype(np.intp)
+        inside[empty] = np.arange(resolution) == np.clip(cell[empty], 0, resolution - 1)[..., None]
+    cols, rows = inside[:, :, 0], inside[:, :, 1]
+    return (rows[..., :, None] & cols[..., None, :]).astype(np.float64)
 
 
 def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
@@ -117,8 +127,9 @@ def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
     """
     if not pairs:
         return np.zeros((0, 2, dims.mask_res, dims.mask_res)), np.zeros((0, dims.d_union))
-    masks = np.stack([rasterize_mask(scene.proposals[i].box, scene.proposals[j].box,
-                                     dims.mask_res) for i, j in pairs])
+    boxes = np.array([p.box.as_list() for p in scene.proposals])
+    sub, obj = np.asarray(pairs, dtype=np.intp).T
+    masks = rasterize_mask(boxes[sub], boxes[obj], dims.mask_res)
     visual = np.stack([union_visual(scene, i, j, dims.d_union) for i, j in pairs])
     return masks, visual
 

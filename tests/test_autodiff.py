@@ -1,14 +1,18 @@
 """Unit and property tests for the reverse-mode engine and optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgg import autodiff
 from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segment_sum, add,
                           add_bias, backward, binary_logistic_loss, concat_cols,
                           conv2d, cross_entropy_with_softmax,
-                          finite_difference_check, flatten, flatten_rows,
+                          finite_difference_check, finite_difference_check_params,
+                          flatten, flatten_rows,
                           gather_rows, glorot_uniform, matmul, maxpool2d, message_mean,
                           relu, schedule_lr, segment_mean, sigmoid, softmax)
 from sgg.gradcheck import check_all_ops
@@ -93,6 +97,128 @@ def test_maxpool_forward_and_tie_routing():
     t = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
     backward(matmul(flatten(maxpool2d(t)), Tensor(np.ones(1))))
     np.testing.assert_array_equal(t.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+def _conv_reference(x, w, b, g):
+    """Direct einsum convolution: output and the gradients of <output, g>."""
+    kh, kw = w.shape[2:]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.einsum("ncijpq,ocpq->noij", windows, w) + b[:, None, None]
+    gw = np.einsum("noij,ncijpq->ocpq", g, windows)
+    gx = np.zeros_like(x)
+    oh, ow = out.shape[2:]
+    for p in range(kh):
+        for q in range(kw):
+            gx[:, :, p:p + oh, q:q + ow] += np.einsum("noij,oc->ncij", g, w[:, :, p, q])
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def _channel_major(a):
+    """The same values as ``a`` (N, C, ...), stored channel by channel."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    scale = max(np.abs(expected).max(), 1e-300)
+    assert np.abs(actual - expected).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_conv2d_matches_einsum_across_ragged_blocks(monkeypatch, seed, x_grad):
+    """Blocks of 3 instances (the last one ragged) give the direct
+    convolution and its gradients, for contiguous and channel-major inputs."""
+    rng = np.random.default_rng(seed)
+    n = 3 * int(rng.integers(1, 4)) + int(rng.integers(1, 3))
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    h, w = kh + int(rng.integers(0, 6)), kw + int(rng.integers(0, 6))
+    oh, ow = h - kh + 1, w - kw + 1
+    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 3 * 8 * cin * kh * kw * oh * ow)
+    x0 = rng.normal(size=(n, cin, h, w))
+    w0, b0 = rng.normal(size=(cout, cin, kh, kw)), rng.normal(size=cout)
+    g = rng.normal(size=(n, cout, oh, ow))
+    out_ref, gx_ref, gw_ref, gb_ref = _conv_reference(x0, w0, b0, g)
+    for data in (x0, _channel_major(x0)):
+        x = Tensor(data, requires_grad=x_grad)
+        wt, bt = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        out = conv2d(x, wt, bt)
+        _assert_close(out.data, out_ref)
+        backward(matmul(flatten(out), Tensor(g.reshape(-1))))
+        _assert_close(wt.grad, gw_ref)
+        _assert_close(bt.grad, gb_ref)
+        if x_grad:
+            _assert_close(x.grad, gx_ref)
+        else:
+            assert x.grad is None
+
+
+def test_conv2d_multi_block_finite_differences(monkeypatch):
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 2 * 8 * 2 * 3 * 3 * 4 * 4)
+    x0, w0, b0 = rng.normal(size=(5, 2, 6, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    v = Tensor(rng.normal(size=5 * 3 * 4 * 4))
+    tensors = [Tensor(a, requires_grad=True) for a in (x0, w0, b0)]
+    err = finite_difference_check_params(lambda: matmul(flatten(conv2d(*tensors)), v), tensors)
+    assert err < 1e-6
+
+
+def test_conv2d_memory_is_output_plus_one_block():
+    """conv2d forward and backward on 256 default-size masks peak below half
+    of the im2col matrix a one-shot im2col would build (80 MB)."""
+    rng = np.random.default_rng(0)
+    x = Tensor((rng.random((256, 2, 32, 32)) < 0.3).astype(np.float64))
+    w = Tensor(rng.normal(size=(8, 2, 5, 5)), requires_grad=True)
+    b = Tensor(np.zeros(8), requires_grad=True)
+    g = rng.normal(size=(256, 8, 28, 28))
+    im2col_bytes = 8 * 256 * 28 * 28 * 2 * 5 * 5
+    tracemalloc.start()
+    try:
+        conv2d(x, w, b)._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < im2col_bytes / 2
+
+
+def _pool_oracle(x, g):
+    """Window-last reshape and argmax pooling: output and input gradient."""
+    n, c, h, w = x.shape
+    r = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // 2, w // 2, 4)
+    idx = r.argmax(axis=-1)[..., None]
+    gr = np.zeros(r.shape)
+    np.put_along_axis(gr, idx, g[..., None], axis=-1)
+    gx = gr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return np.take_along_axis(r, idx, axis=-1)[..., 0], gx
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(actual).view(np.int64),
+                                  np.ascontiguousarray(expected).view(np.int64))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(1, 3)] * 2,
+                                                          *[st.integers(1, 4)] * 2),
+       kind=st.sampled_from(["relu", "small_int"]), channel_major=st.booleans())
+def test_maxpool_matches_argmax_pooling_bit_for_bit(seed, shape, kind, channel_major):
+    """Strided max-pooling equals the argmax oracle bit for bit, ties included:
+    ReLU'd values tie at zero, small integers tie everywhere."""
+    rng = np.random.default_rng(seed)
+    n, c, h2, w2 = shape
+    if kind == "relu":
+        x0 = relu(Tensor(np.round(rng.normal(size=(n, c, 2 * h2, 2 * w2)), 1))).data
+    else:
+        x0 = rng.integers(-2, 3, size=(n, c, 2 * h2, 2 * w2)).astype(np.float64)
+    g = rng.normal(size=(n, c, h2, w2))
+    out_ref, gx_ref = _pool_oracle(x0, g)
+    x = Tensor(_channel_major(x0) if channel_major else x0, requires_grad=True)
+    out = maxpool2d(x)
+    _assert_same_bits(out.data, out_ref)
+    backward(matmul(flatten(out), Tensor(g.reshape(-1))))
+    _assert_same_bits(x.grad, np.zeros_like(x0) + gx_ref)
 
 
 def test_relu_subgradient_zero_at_zero():

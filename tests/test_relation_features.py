@@ -2,19 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgg.autodiff import Tensor, finite_difference_check_params
 from sgg.config import Dims
 from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
                                    relation_features, spatial_features, union_visual)
-from sgg.scenes import Box, ObjectProposal, SceneRecord
+from sgg.scenes import Box, ObjectProposal, SceneRecord, normalize_box, union_box
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
             mask_res=12, conv1_channels=3, conv2_channels=3)
 
 
+def pair_mask(box_i: Box, box_j: Box, resolution: int) -> np.ndarray:
+    """The (2, R, R) mask of one pair."""
+    return rasterize_mask([box_i.as_list()], [box_j.as_list()], resolution)[0]
+
+
 def test_mask_left_half_at_res_4():
-    m = rasterize_mask(Box(0, 0, 2, 4), Box(2, 0, 2, 4), resolution=4)
+    m = pair_mask(Box(0, 0, 2, 4), Box(2, 0, 2, 4), resolution=4)
     assert m.shape == (2, 4, 4)
     # subject covers the left half of the union: 2 columns x 4 rows
     np.testing.assert_array_equal(m[0], np.repeat([[1, 1, 0, 0]], 4, axis=0))
@@ -22,14 +29,14 @@ def test_mask_left_half_at_res_4():
 
 
 def test_mask_translation_covariance():
-    a = rasterize_mask(Box(1, 2, 3, 4), Box(2, 4, 5, 3), 16)
-    b = rasterize_mask(Box(11, 32, 3, 4), Box(12, 34, 5, 3), 16)
+    a = pair_mask(Box(1, 2, 3, 4), Box(2, 4, 5, 3), 16)
+    b = pair_mask(Box(11, 32, 3, 4), Box(12, 34, 5, 3), 16)
     np.testing.assert_array_equal(a, b)
 
 
 def test_mask_channel_swap_on_reversed_pair():
-    a = rasterize_mask(Box(0, 0, 3, 3), Box(4, 1, 2, 5), 8)
-    b = rasterize_mask(Box(4, 1, 2, 5), Box(0, 0, 3, 3), 8)
+    a = pair_mask(Box(0, 0, 3, 3), Box(4, 1, 2, 5), 8)
+    b = pair_mask(Box(4, 1, 2, 5), Box(0, 0, 3, 3), 8)
     np.testing.assert_array_equal(a[0], b[1])
     np.testing.assert_array_equal(a[1], b[0])
 
@@ -37,7 +44,7 @@ def test_mask_channel_swap_on_reversed_pair():
 def test_mask_tiny_box_keeps_center_cell():
     # the box is thinner than a grid cell: no center falls inside, so the
     # rasterizer marks the cell under the box center instead
-    m = rasterize_mask(Box(0, 0, 10, 10), Box(5.58, 5.58, 0.05, 0.05), 32)
+    m = pair_mask(Box(0, 0, 10, 10), Box(5.58, 5.58, 0.05, 0.05), 32)
     assert m[1].sum() == 1.0
     assert m[0].sum() > 0
 
@@ -47,14 +54,64 @@ def test_mask_values_are_binary():
     for _ in range(25):
         bi = Box(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2))
         bj = Box(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2))
-        m = rasterize_mask(bi, bj, 16)
+        m = pair_mask(bi, bj, 16)
         assert set(np.unique(m)) <= {0.0, 1.0}
         assert m[0].sum() >= 1 and m[1].sum() >= 1
 
 
+def per_pair_mask(box_i: Box, box_j: Box, resolution: int) -> np.ndarray:
+    """The per-pair rasterizer the batched one replaced, kept as its oracle."""
+    u = union_box(box_i, box_j)
+    mask = np.zeros((2, resolution, resolution))
+    centers = (np.arange(resolution) + 0.5) / resolution
+    for k, b in enumerate((box_i, box_j)):
+        x, y, w, h = normalize_box(b, u)
+        inside = (centers[:, None] >= y) & (centers[:, None] < y + h) \
+            & (centers[None, :] >= x) & (centers[None, :] < x + w)
+        if not inside.any():
+            r = min(int((y + h / 2) * resolution), resolution - 1)
+            c = min(int((x + w / 2) * resolution), resolution - 1)
+            inside[max(r, 0), max(c, 0)] = True
+        mask[k] = inside
+    return mask
+
+
+_coords = st.floats(0.0, 100.0)
+_extents = st.one_of(st.floats(1e-3, 0.5), st.floats(0.5, 60.0))  # sub-cell or not
+
+
+@st.composite
+def box_pairs(draw):
+    a = [draw(_coords), draw(_coords), draw(_extents), draw(_extents)]
+    kind = draw(st.sampled_from(["free", "identical", "shared_x_edge", "shared_y_edge"]))
+    if kind == "identical":
+        return a, list(a)
+    b = [draw(_coords), draw(_coords), draw(_extents), draw(_extents)]
+    if kind == "shared_x_edge":
+        b[0] = a[0] + a[2]
+    elif kind == "shared_y_edge":
+        b[1] = a[1] + a[3]
+    return a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(pairs=st.lists(box_pairs(), min_size=1, max_size=6),
+       resolution=st.sampled_from([12, 24, 32]))
+@example(pairs=[([0, 0, 10, 10], [5.58, 5.58, 0.05, 0.05])], resolution=32)
+@example(pairs=[([0, 0, 2, 4], [2, 0, 2, 4]), ([3, 3, 1, 1], [3, 3, 1, 1])], resolution=12)
+@example(pairs=[([3, 3, 6, 6], [0, 0, 24, 24])], resolution=12)  # cell centers on both edges
+def test_batched_masks_equal_the_per_pair_rasterizer(pairs, resolution):
+    """Sub-cell boxes (the fallback cell), shared edges, identical boxes and
+    edges through cell centers (closed below, open above) rasterize bit for
+    bit as the per-pair code did."""
+    sub, obj = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+    expect = np.stack([per_pair_mask(Box(*a), Box(*b), resolution) for a, b in pairs])
+    np.testing.assert_array_equal(rasterize_mask(sub, obj, resolution), expect)
+
+
 def test_spatial_len_matches_conv_chain():
     params = init_relfeat_params(DIMS, np.random.default_rng(0))
-    masks = np.stack([rasterize_mask(Box(0, 0, 4, 4), Box(2, 2, 4, 4), DIMS.mask_res)
+    masks = np.stack([pair_mask(Box(0, 0, 4, 4), Box(2, 2, 4, 4), DIMS.mask_res)
                       for _ in range(3)])
     out = spatial_features(masks, params)
     assert out.data.shape == (3, DIMS.spatial_len)
@@ -115,7 +172,7 @@ def test_conv_chain_gradients():
     rng = np.random.default_rng(5)
     for t in params.tensors():
         t.data += rng.normal(0.0, 0.05, t.data.shape)  # move relu off its kink
-    masks = np.stack([rasterize_mask(Box(0, 0, 5, 7), Box(3, 2, 6, 4), DIMS.mask_res)])
+    masks = np.stack([pair_mask(Box(0, 0, 5, 7), Box(3, 2, 6, 4), DIMS.mask_res)])
     visual = rng.normal(size=(1, DIMS.d_union))
 
     def loss():
