@@ -8,7 +8,7 @@ ascii art so the conv input is easy to picture.
 import numpy as np
 
 from sgg.relation_features import rasterize_mask
-from sgg.scenes import Box, iou, union_box
+from sgg.scenes import Box, iou, union_frame
 from sgg.synthetic import SPATIAL_NAMES, spatial_relation
 
 PAIRS = [
@@ -25,9 +25,10 @@ def ascii_mask(channel: np.ndarray) -> str:
 
 for name, sub, obj in PAIRS:
     rel = SPATIAL_NAMES[spatial_relation(sub, obj)]
-    u = union_box(sub, obj)
+    frame = union_frame([sub.as_list()], [obj.as_list()])[0]
+    union_w, union_h = sub.w / frame[0, 2], sub.h / frame[0, 3]  # w / (w / uw) = uw
     print(f"--- {name}: subject is '{rel}' the object "
-          f"(iou {iou(sub, obj):.2f}, union {u.w:.0f}x{u.h:.0f})")
+          f"(iou {iou(sub, obj):.2f}, union {union_w:.0f}x{union_h:.0f})")
     masks = rasterize_mask([sub.as_list()], [obj.as_list()], resolution=12)[0]
     rows = [a + "   " + b for a, b in zip(ascii_mask(masks[0]).splitlines(),
                                           ascii_mask(masks[1]).splitlines())]

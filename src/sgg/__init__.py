@@ -18,8 +18,7 @@ from .gradcheck import check_all_ops, pipeline_gradient_check
 from .model import (ModelParams, candidate_pairs, forward_scene,
                     init_model_params, predict_scene)
 from .scenes import (Box, EmbeddingTable, GtObject, ObjectProposal, SceneRecord,
-                     Triplet, iou, load_scenes, normalize_box, save_scenes,
-                     union_box)
+                     Triplet, iou, load_scenes, save_scenes, union_frame)
 from .synthetic import SynthConfig, generate_dataset, generate_scene
 from .training import TrainConfig, train_main, train_srf
 
@@ -30,8 +29,8 @@ __all__ = [
     "Tensor", "TrainConfig", "Triplet", "backward", "candidate_pairs",
     "check_all_ops", "confidence_fallback", "evaluate", "finite_difference_check",
     "finite_difference_check_params", "forward_scene", "generate_dataset",
-    "generate_scene", "init_model_params", "iou", "load_scenes", "normalize_box",
+    "generate_scene", "init_model_params", "iou", "load_scenes",
     "pipeline_gradient_check", "predict_scene", "prune_graph", "recall_at_k",
     "save_scenes", "schedule_lr", "score_pairs", "train_main", "train_srf",
-    "union_box",
+    "union_frame",
 ]

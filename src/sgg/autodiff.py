@@ -561,11 +561,9 @@ class SgdMomentum:
         self.base_lr = float(lr)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.epoch = 1
 
     def set_epoch(self, epoch: int) -> None:
-        self.epoch = int(epoch)
-        self.lr = schedule_lr(self.base_lr, self.epoch)
+        self.lr = schedule_lr(self.base_lr, int(epoch))
 
     def step(self) -> None:
         for p, v in zip(self.params, self.velocity):

@@ -14,6 +14,7 @@ distributions and grades predicates only.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,6 +81,7 @@ def substitute_gt_boxes(scene: SceneRecord, n_classes: int, d_obj: int,
                         one_hot_labels: bool) -> SceneRecord:
     """Replace proposals with the gt boxes, pulling each feature and label
     prior from the best-overlapping proposal (zeros/uniform when none)."""
+    scene.check_gt_classes(n_classes)
     ious = gt_overlaps(scene)
     props = []
     for k, g in enumerate(scene.gt_objects):
@@ -133,13 +135,10 @@ def detection_map(per_scene: list[tuple[PredictedGraph, SceneRecord]],
             detections.append((float(pg.label_conf[k]), si, k, int(pg.labels[k])))
     detections.sort(key=lambda d: (-d[0], d[1], d[2]))
 
-    classes = sorted({g.cls for _, scene in per_scene for g in scene.gt_objects})
+    n_gt = Counter(g.cls for _, scene in per_scene for g in scene.gt_objects)
+    classes = sorted(n_gt)
     claimed = [[False] * len(scene.gt_objects) for _, scene in per_scene]
     records = {c: [] for c in classes}
-    n_gt = {c: 0 for c in classes}
-    for _, scene in per_scene:
-        for g in scene.gt_objects:
-            n_gt[g.cls] += 1
     for score, si, k, label in detections:
         if label not in records:
             continue
@@ -153,9 +152,7 @@ def detection_map(per_scene: list[tuple[PredictedGraph, SceneRecord]],
                 best, best_iou = gi, v
         if best >= 0:
             claimed[si][best] = True
-            records[label].append((score, True))
-        else:
-            records[label].append((score, False))
+        records[label].append((score, best >= 0))
     if not classes:
         return 0.0
     return float(np.mean([_average_precision(records[c], n_gt[c]) for c in classes]))
@@ -188,12 +185,12 @@ def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig
     def eval_one(scene: SceneRecord):
         out = {}
         sggen_pg = None
+        gts = gt_eval_triplets(scene)
         for mode in modes:
             pg = predict_scene(scene_for_mode(scene, mode, config), params, config, mode)
             if mode == "sggen":
                 sggen_pg = pg
             preds = predicted_eval_triplets(pg)
-            gts = gt_eval_triplets(scene)
             out[mode] = {k: recall_at_k(preds, gts, k, iou_threshold) for k in ks}
         if sggen_pg is None:
             sggen_pg = predict_scene(scene, params, config, "sggen")
@@ -205,14 +202,11 @@ def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig
     else:
         results = [eval_one(s) for s in scenes]
 
-    recalls = {mode: {k: [] for k in ks} for mode in modes}
-    for out, _ in results:
-        for mode in modes:
-            for k in ks:
-                if out[mode][k] is not None:
-                    recalls[mode][k].append(out[mode][k])
-    mean_recalls = {mode: {k: float(np.mean(v)) if v else 0.0
-                           for k, v in by_k.items()} for mode, by_k in recalls.items()}
+    def mean_recall(mode: str, k: int) -> float:  # over the scenes with gt triplets
+        v = [out[mode][k] for out, _ in results if out[mode][k] is not None]
+        return float(np.mean(v)) if v else 0.0
+
+    mean_recalls = {mode: {k: mean_recall(mode, k) for k in ks} for mode in modes}
     return EvalResult(recalls=mean_recalls,
                       map50=detection_map([pair for _, pair in results], iou_threshold),
                       n_scenes=len(scenes))

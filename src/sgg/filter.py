@@ -1,9 +1,10 @@
 """Semantic relation filter: score ordered proposal pairs, keep a sparse graph.
 
 A pair (i, j) is described by the class embeddings of both proposals plus
-both boxes normalized to the pair's union box, and scored by a small MLP
-with a sigmoid output.  Scores below the threshold are dropped and only the
-top-k survive, which keeps the downstream relation graph sparse.
+both boxes in the pair's union frame (``scenes.union_frame``), and scored by
+a small MLP with a sigmoid output.  Scores below the threshold are dropped
+and only the top-k survive.  Inputs, fallback scores and pruning are array
+code over the (P, 2) index array of a whole pair list.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .autodiff import Tensor, binary_logistic_loss, flatten, sigmoid
 from .config import Dims
 from .nn import TwoLayerMlp, make_mlp
-from .scenes import EmbeddingTable, SceneRecord, iou, normalize_box, union_box
+from .scenes import EmbeddingTable, SceneRecord, iou, pair_index, union_frame
 
 
 @dataclass
@@ -42,15 +43,13 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 
 def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
                 pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Stack filter inputs for the given ordered pairs, one row per pair."""
-    emb = table.embed(np.stack([p.label_dist for p in scene.proposals])) \
-        if scene.proposals else np.zeros((0, table.dim))
-    rows = np.zeros((len(pairs), 2 * table.dim + 8))
-    for r, (i, j) in enumerate(pairs):
-        bi, bj = scene.proposals[i].box, scene.proposals[j].box
-        u = union_box(bi, bj)
-        rows[r] = np.concatenate([emb[i], normalize_box(bi, u), normalize_box(bj, u), emb[j]])
-    return rows
+    """Stack filter inputs [e_i, b~_i, b~_j, e_j], one row per ordered pair."""
+    ij = pair_index(pairs)
+    dists = np.array([p.label_dist for p in scene.proposals]).reshape(-1, table.n_classes)
+    emb = table.embed(dists)
+    b = scene.boxes[ij]  # (P, 2, 4) subject and object boxes
+    frame = union_frame(b[:, 0], b[:, 1]).reshape(-1, 8)
+    return np.concatenate([emb[ij[:, 0]], frame, emb[ij[:, 1]]], axis=1)
 
 
 def pair_logits(inputs: np.ndarray, params: SrfParams) -> Tensor:
@@ -72,9 +71,10 @@ def prune_graph(pairs: list[tuple[int, int]], scores: np.ndarray, top_k: int,
     scores = np.asarray(scores, dtype=np.float64)
     if len(pairs) != scores.shape[0]:
         raise ValueError("prune_graph: one score per pair required")
-    order = sorted(range(len(pairs)), key=lambda r: (-scores[r], pairs[r][0], pairs[r][1]))
-    kept = [r for r in order if scores[r] >= threshold][:top_k]
-    return [pairs[r] for r in kept], scores[kept]
+    sub, obj = pair_index(pairs).T
+    order = np.lexsort((obj, sub, -scores))
+    kept = order[scores[order] >= threshold][:top_k]
+    return list(zip(sub[kept].tolist(), obj[kept].tolist())), scores[kept]
 
 
 def gt_overlaps(scene: SceneRecord) -> np.ndarray:
@@ -94,7 +94,7 @@ def matched_triplets(scene: SceneRecord, pairs: list[tuple[int, int]],
     if not pairs or not scene.gt_triplets:
         return np.full(len(pairs), -1, dtype=np.intp)
     overlap = gt_overlaps(scene) > iou_threshold
-    ij = np.array(pairs, dtype=np.intp)
+    ij = pair_index(pairs)
     trip = np.array(scene.gt_triplets, dtype=np.intp)  # rows (sub, pred, obj)
     hit = overlap[ij[:, :1], trip[:, 0]] & overlap[ij[:, 1:], trip[:, 2]]
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
@@ -118,4 +118,5 @@ def confidence_fallback(label_dists: np.ndarray, pairs: list[tuple[int, int]]) -
     if dists.ndim != 2 or dists.shape[1] < 2:
         raise ValueError("confidence_fallback: need rows over >= 2 classes")
     best = dists[:, 1:].max(axis=1)
-    return np.array([best[i] * best[j] for i, j in pairs])
+    sub, obj = pair_index(pairs).T
+    return best[sub] * best[obj]

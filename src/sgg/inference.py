@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, concat_cols, gather_rows, glorot_uniform, matmul
 from .config import Dims, ModelConfig
 from .nn import Affine, TwoLayerMlp, make_affine, make_mlp
-from .scenes import Box
+from .scenes import Box, pair_index
 
 
 @dataclass
@@ -64,7 +64,7 @@ def relation_logits(x_rel: Tensor, p_hat: Tensor, edges: list[tuple[int, int]],
     """
     if not config.use_prede:
         return params.rel_cls(x_rel)
-    idx = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    idx = pair_index(edges)
     e_sub = matmul(gather_rows(p_hat, idx[:, 0]), params.sub_emb)
     e_obj = matmul(gather_rows(p_hat, idx[:, 1]), params.obj_emb)
     return params.rel_cls(concat_cols([e_sub, x_rel, e_obj]))
@@ -101,22 +101,16 @@ def score_triplets(boxes: list[Box], label_dist: np.ndarray,
     """
     label_dist = np.asarray(label_dist, dtype=np.float64)
     rel_dist = np.asarray(rel_dist, dtype=np.float64)
-    n = label_dist.shape[0]
-    if n:
-        labels = 1 + label_dist[:, 1:].argmax(axis=1)
-        conf = label_dist[np.arange(n), labels]
-    else:
-        labels = np.zeros(0, dtype=np.intp)
-        conf = np.zeros(0)
-    no_rel = rel_dist.shape[1] - 1 if rel_dist.size else 0
-    triplets = []
-    for k, (i, j) in enumerate(edges):
-        best = int(rel_dist[k].argmax())
-        if best == no_rel:
-            continue
-        triplets.append(ScoredTriplet(i, best, j,
-                                      float(conf[i] * rel_dist[k, best] * conf[j])))
-    triplets.sort(key=lambda t: (-t.score, t.sub, t.obj, t.pred))
+    labels = 1 + label_dist[:, 1:].argmax(axis=1)
+    conf = label_dist[np.arange(len(labels)), labels]
+    best = rel_dist.argmax(axis=1)
+    r = np.flatnonzero(best != rel_dist.shape[1] - 1)  # no-relation is the last class
+    sub, obj = pair_index(edges)[r].T
+    best = best[r]
+    score = conf[sub] * rel_dist[r, best] * conf[obj]
+    order = np.lexsort((best, obj, sub, -score))
+    triplets = list(map(ScoredTriplet, sub[order].tolist(), best[order].tolist(),
+                        obj[order].tolist(), score[order].tolist()))
     return PredictedGraph(boxes=list(boxes), labels=labels, label_conf=conf,
                           label_dist=label_dist, edges=list(edges), rel_dist=rel_dist,
                           triplets=triplets)

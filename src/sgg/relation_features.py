@@ -7,11 +7,11 @@ union region by one affine layer with ReLU.  When the scene carries no
 pooled pair visual, a surrogate is built from the two proposal features and
 their normalized boxes.
 
-``pair_geometry`` rasterizes every pair of a list in one ``rasterize_mask``
-call (row and column interval indicators, then their outer product).  The
-conv stack runs on ``autodiff.conv2d``, which works in blocks of pairs, so
-its memory grows with the conv outputs, not with an im2col matrix of every
-pair.
+Masks and surrogate visuals read one union frame (``scenes.union_frame``),
+and ``pair_geometry`` builds both for a whole pair list in one
+``rasterize_mask`` and one ``union_visual`` call.  The conv stack runs on
+``autodiff.conv2d``, which works in blocks of pairs, so its memory grows
+with the conv outputs, not with an im2col matrix of every pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .autodiff import Tensor, concat_cols, conv2d, flatten_rows, glorot_uniform,
     relu, zeros_param
 from .config import Dims
 from .nn import Affine, make_affine
-from .scenes import SceneRecord, normalize_box, union_box
+from .scenes import SceneRecord, pair_index, union_frame
 
 
 @dataclass
@@ -69,12 +69,8 @@ def rasterize_mask(sub_boxes, obj_boxes, resolution: int) -> np.ndarray:
     """
     if resolution < 1:
         raise ValueError("mask resolution must be positive")
-    boxes = np.stack([np.asarray(sub_boxes, dtype=np.float64).reshape(-1, 4),
-                      np.asarray(obj_boxes, dtype=np.float64).reshape(-1, 4)], axis=1)
-    lo = boxes[..., :2].min(axis=1, keepdims=True)
-    size = (boxes[..., :2] + boxes[..., 2:]).max(axis=1, keepdims=True) - lo
-    start = (boxes[..., :2] - lo) / size  # (P, 2, [x, y]) in the union's frame
-    extent = boxes[..., 2:] / size
+    frame = union_frame(sub_boxes, obj_boxes)
+    start, extent = frame[..., :2], frame[..., 2:]  # (P, 2, [x, y]) and (P, 2, [w, h])
     centers = (np.arange(resolution) + 0.5) / resolution
     inside = (centers >= start[..., None]) & (centers < (start + extent)[..., None])
     empty = ~inside.any(axis=-1).all(axis=-1)  # (P, 2): no cell center is covered
@@ -95,27 +91,33 @@ def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
     return flatten_rows(h)
 
 
-def union_visual(scene: SceneRecord, i: int, j: int, d_union: int) -> np.ndarray:
-    """Visual feature of the pair's union region.
+def union_visual(scene: SceneRecord, pairs: list[tuple[int, int]],
+                 d_union: int) -> np.ndarray:
+    """Visual features (len(pairs), d_union) of the pairs' union regions.
 
-    Uses the scene's pooled pair feature when present; otherwise both
+    A pair uses the scene's pooled pair feature when present; otherwise both
     union-normalized boxes followed by the mean of the two proposal features,
     truncated or zero-padded to ``d_union``.  The boxes come first so that
     truncation sheds appearance dimensions, never the exact geometry.
     """
-    if scene.pair_visual is not None and (i, j) in scene.pair_visual:
+    ij = pair_index(pairs)
+    out = np.zeros((len(ij), d_union))
+    if not len(ij):
+        return out
+    b, f = scene.boxes[ij], np.stack([p.feature for p in scene.proposals])[ij]
+    raw = np.concatenate([union_frame(b[:, 0], b[:, 1]).reshape(-1, 8),
+                          (f[:, 0] + f[:, 1]) / 2.0], axis=1)[:, :d_union]
+    out[:, :raw.shape[1]] = raw
+    key = np.array([scene.n_proposals, 1])  # pair (i, j) -> i * n + j
+    given = pair_index(list(scene.pair_visual or ())) @ key
+    for r in np.flatnonzero(np.isin(ij @ key, given)):  # rows with a pooled feature
+        i, j = ij[r].tolist()
         v = scene.pair_visual[(i, j)]
         if v.shape != (d_union,):
             raise ValueError(f"{scene.id}: pair_visual[{i},{j}] has length {v.shape[0]}, "
                              f"expected {d_union}")
-        return v
-    pi, pj = scene.proposals[i], scene.proposals[j]
-    u = union_box(pi.box, pj.box)
-    raw = np.concatenate([normalize_box(pi.box, u), normalize_box(pj.box, u),
-                          (pi.feature + pj.feature) / 2.0])
-    if raw.shape[0] >= d_union:
-        return raw[:d_union]
-    return np.concatenate([raw, np.zeros(d_union - raw.shape[0])])
+        out[r] = v
+    return out
 
 
 def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
@@ -125,13 +127,9 @@ def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
     Both depend on the scene alone, so callers build them once per pair list
     and reuse them across parameter updates.
     """
-    if not pairs:
-        return np.zeros((0, 2, dims.mask_res, dims.mask_res)), np.zeros((0, dims.d_union))
-    boxes = np.array([p.box.as_list() for p in scene.proposals])
-    sub, obj = np.asarray(pairs, dtype=np.intp).T
-    masks = rasterize_mask(boxes[sub], boxes[obj], dims.mask_res)
-    visual = np.stack([union_visual(scene, i, j, dims.d_union) for i, j in pairs])
-    return masks, visual
+    b = scene.boxes[pair_index(pairs)]
+    return (rasterize_mask(b[:, 0], b[:, 1], dims.mask_res),
+            union_visual(scene, pairs, dims.d_union))
 
 
 def relation_features(masks: np.ndarray, visual: np.ndarray, params: RelFeatParams,

@@ -69,18 +69,19 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def union_box(a: Box, b: Box) -> Box:
-    """Smallest box enclosing both inputs."""
-    x = min(a.x, b.x)
-    y = min(a.y, b.y)
-    return Box(x, y, max(a.x2, b.x2) - x, max(a.y2, b.y2) - y)
+def pair_index(pairs) -> np.ndarray:
+    """Ordered pairs as a (P, 2) array of (subject, object) proposal indices."""
+    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def normalize_box(b: Box, u: Box) -> np.ndarray:
-    """Box coordinates relative to a reference box: [(x-ux)/uw, (y-uy)/uh, w/uw, h/uh]."""
-    if u.w <= 0 or u.h <= 0:
-        raise ValueError("normalize_box: reference box is degenerate")
-    return np.array([(b.x - u.x) / u.w, (b.y - u.y) / u.h, b.w / u.w, b.h / u.h])
+def union_frame(sub_boxes, obj_boxes) -> np.ndarray:
+    """(P, 4) subject and object [x, y, w, h] boxes in their union box u, as
+    (P, 2, 4) rows [(x - ux) / uw, (y - uy) / uh, w / uw, h / uh], subject first."""
+    boxes = np.stack([np.asarray(sub_boxes, dtype=np.float64).reshape(-1, 4),
+                      np.asarray(obj_boxes, dtype=np.float64).reshape(-1, 4)], axis=1)
+    lo = boxes[..., :2].min(axis=1, keepdims=True)
+    size = (boxes[..., :2] + boxes[..., 2:]).max(axis=1, keepdims=True) - lo
+    return np.concatenate([(boxes[..., :2] - lo) / size, boxes[..., 2:] / size], axis=-1)
 
 
 def one_hot(index: int, n: int) -> np.ndarray:
@@ -164,6 +165,18 @@ class SceneRecord:
     @property
     def n_proposals(self) -> int:
         return len(self.proposals)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """Proposal boxes as an (n, 4) array of [x, y, w, h]."""
+        return np.array([p.box.as_list() for p in self.proposals]).reshape(-1, 4)
+
+    def check_gt_classes(self, n_classes: int) -> None:
+        """Reject a gt object class that a model over ``n_classes`` cannot represent."""
+        worst = max((g.cls for g in self.gt_objects), default=-1)
+        if worst >= n_classes:
+            raise ValueError(f"{self.id}: gt object class {worst} out of range for "
+                             f"{n_classes} classes")
 
 
 # ---------------------------------------------------------------------------

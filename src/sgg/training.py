@@ -112,9 +112,10 @@ def _finite(loss: Tensor, epoch: int, scene_id: str) -> float:
     return value
 
 
-def _object_targets(scene: SceneRecord, match_iou: float) -> np.ndarray:
+def _object_targets(scene: SceneRecord, n_classes: int, match_iou: float) -> np.ndarray:
     """Best-overlap gt class above the threshold, else background (exact ties
     keep the lowest gt index, which ``argmax`` returns first)."""
+    scene.check_gt_classes(n_classes)
     if not scene.gt_objects:
         return np.zeros(scene.n_proposals, dtype=np.intp)
     ious = gt_overlaps(scene)
@@ -143,7 +144,7 @@ def prepare_scene(scene: SceneRecord, params: ModelParams, config: ModelConfig,
         return None
     inputs = scene_inputs(scene, params, config, ordered_pairs(scene.n_proposals))
     inputs.rel_targets = _relation_targets(scene, inputs.edges, config.dims, match_iou)
-    inputs.obj_targets = _object_targets(scene, match_iou)
+    inputs.obj_targets = _object_targets(scene, config.dims.n_classes, match_iou)
     return inputs
 
 

@@ -256,6 +256,44 @@ def test_diverging_training_reports_without_numpy_warnings(tmp_path):
                     "--config", cfg]) == 1
 
 
+def _with_gt_class(tmp_path, data, cls):
+    """A copy of the corpus whose second scene has a gt object of class ``cls``."""
+    lines = open(data).read().splitlines()
+    rec = json.loads(lines[1])
+    rec["gt_objects"][0]["class"] = cls
+    lines[1] = json.dumps(rec)
+    return write(tmp_path / "bad_class.jsonl", "\n".join(lines) + "\n"), rec["id"]
+
+
+NO_SRF_CFG = TRAIN_CFG + SRF_CFG.replace("epochs = 3\nlr = 0.05\n", "")
+
+
+def test_train_gt_class_out_of_range_names_the_scene(tmp_path, capsys):
+    data, scene_id = _with_gt_class(tmp_path, gen_corpus(tmp_path), 9)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--no-srf", "--out", str(tmp_path / "m.ckpt"),
+                "--config", write(tmp_path / "t.cfg", NO_SRF_CFG)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene_id}: gt object class 9 out of range for 4 "
+                          f"classes"), err
+
+
+@pytest.mark.parametrize("command", [["eval", "--k", "5"], ["predict", "--mode", "predcls"]],
+                         ids=["eval", "predict"])
+def test_eval_gt_class_out_of_range_names_the_scene(tmp_path, capsys, command):
+    good = gen_corpus(tmp_path)
+    model = str(tmp_path / "m.ckpt")
+    assert run(["train", "--data", good, "--no-srf", "--out", model,
+                "--config", write(tmp_path / "t.cfg", NO_SRF_CFG)]) == 0
+    data, scene_id = _with_gt_class(tmp_path, good, 9)
+    capsys.readouterr()
+    assert run([command[0], "--data", data, "--model", model, "--out",
+                str(tmp_path / "out"), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene_id}: gt object class 9 out of range for 4 "
+                          f"classes"), err
+
+
 # ---------------------------------------------------------------------------
 # direction strings
 

@@ -160,6 +160,13 @@ def test_substitute_gt_boxes_predcls_one_hot():
     assert all(p.gt_class == g.cls for p, g in zip(out.proposals, out.gt_objects))
 
 
+def test_substitute_gt_boxes_rejects_a_class_the_model_lacks():
+    for one_hot_labels in (False, True):
+        with pytest.raises(ValueError, match="^e: gt object class 2 out of range for 2 classes"):
+            substitute_gt_boxes(eval_scene(), n_classes=2, d_obj=4,
+                                one_hot_labels=one_hot_labels)
+
+
 def test_gt_eval_triplets_reads_classes_and_boxes():
     ts = gt_eval_triplets(eval_scene())
     assert len(ts) == 1

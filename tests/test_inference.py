@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgg.autodiff import Tensor, softmax
 from sgg.config import Dims, ModelConfig
-from sgg.inference import (format_prediction, init_head_params, object_logits,
+from sgg.filter import ordered_pairs
+from sgg.inference import (ScoredTriplet, format_prediction, init_head_params, object_logits,
                            relation_logits, score_triplets)
 from sgg.scenes import Box, one_hot
 
@@ -98,6 +101,53 @@ def test_rank_monotone_in_predicate_confidence():
         g = score_triplets(boxes(n), label_dist, edges, rel)
         scores = [t.score for t in g.triplets]
         assert scores == sorted(scores, reverse=True)
+
+
+def old_score_triplets(label_dist, edges, rel_dist):
+    """The per-edge ranking the array code replaced, kept as its oracle."""
+    n = label_dist.shape[0]
+    labels = 1 + label_dist[:, 1:].argmax(axis=1) if n else np.zeros(0, dtype=np.intp)
+    conf = label_dist[np.arange(n), labels] if n else np.zeros(0)
+    no_rel = rel_dist.shape[1] - 1 if rel_dist.size else 0
+    triplets = []
+    for k, (i, j) in enumerate(edges):
+        best = int(rel_dist[k].argmax())
+        if best == no_rel:
+            continue
+        triplets.append(ScoredTriplet(i, best, j,
+                                      float(conf[i] * rel_dist[k, best] * conf[j])))
+    triplets.sort(key=lambda t: (-t.score, t.sub, t.obj, t.pred))
+    return labels, conf, triplets
+
+
+_probs = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0])  # few values: ties
+
+
+@st.composite
+def ranking_cases(draw):
+    n = draw(st.integers(0, 5))
+    label_dist = np.array(draw(st.lists(st.lists(_probs, min_size=4, max_size=4),
+                                        min_size=n, max_size=n))).reshape(n, 4)
+    edges = draw(st.permutations(ordered_pairs(n)))
+    edges = edges[:draw(st.integers(0, len(edges)))]
+    rel_dist = np.array(draw(st.lists(st.lists(_probs, min_size=4, max_size=4),
+                                      min_size=len(edges), max_size=len(edges))))
+    return label_dist, edges, rel_dist.reshape(len(edges), 4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=ranking_cases())
+def test_score_triplets_equals_the_per_edge_code(case):
+    """Ties in labels, predicates and scores, no-relation wins and scenes
+    without edges rank exactly as the per-edge loop did."""
+    label_dist, edges, rel_dist = case
+    g = score_triplets(boxes(len(label_dist)), label_dist, edges, rel_dist)
+    labels, conf, triplets = old_score_triplets(label_dist, edges, rel_dist)
+    assert g.labels.tobytes() == labels.tobytes() and g.labels.dtype == labels.dtype
+    assert g.label_conf.tobytes() == conf.tobytes()
+    assert g.triplets == triplets
+    assert all(type(v) is int for t in g.triplets for v in t[:3])
+    assert all(type(t.score) is float for t in g.triplets)
 
 
 def test_format_prediction_golden():

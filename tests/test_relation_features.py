@@ -9,7 +9,8 @@ from sgg.autodiff import Tensor, finite_difference_check_params
 from sgg.config import Dims
 from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
                                    relation_features, spatial_features, union_visual)
-from sgg.scenes import Box, ObjectProposal, SceneRecord, normalize_box, union_box
+from sgg.filter import ordered_pairs
+from sgg.scenes import Box, ObjectProposal, SceneRecord
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
             mask_res=12, conv1_channels=3, conv2_channels=3)
@@ -59,13 +60,25 @@ def test_mask_values_are_binary():
         assert m[0].sum() >= 1 and m[1].sum() >= 1
 
 
+def old_union_box(a: Box, b: Box) -> Box:
+    """The scalar union box that ``scenes.union_frame`` replaced."""
+    x = min(a.x, b.x)
+    y = min(a.y, b.y)
+    return Box(x, y, max(a.x2, b.x2) - x, max(a.y2, b.y2) - y)
+
+
+def old_normalize_box(b: Box, u: Box) -> np.ndarray:
+    """The scalar normalization that ``scenes.union_frame`` replaced."""
+    return np.array([(b.x - u.x) / u.w, (b.y - u.y) / u.h, b.w / u.w, b.h / u.h])
+
+
 def per_pair_mask(box_i: Box, box_j: Box, resolution: int) -> np.ndarray:
     """The per-pair rasterizer the batched one replaced, kept as its oracle."""
-    u = union_box(box_i, box_j)
+    u = old_union_box(box_i, box_j)
     mask = np.zeros((2, resolution, resolution))
     centers = (np.arange(resolution) + 0.5) / resolution
     for k, b in enumerate((box_i, box_j)):
-        x, y, w, h = normalize_box(b, u)
+        x, y, w, h = old_normalize_box(b, u)
         inside = (centers[:, None] >= y) & (centers[:, None] < y + h) \
             & (centers[None, :] >= x) & (centers[None, :] < x + w)
         if not inside.any():
@@ -143,9 +156,9 @@ def test_union_visual_truncates_and_pads():
                   for k in range(2))
     scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
                         gt_objects=(), gt_triplets=())
-    v = union_visual(scene, 0, 1, d_union=6)
+    v = union_visual(scene, [(0, 1)], d_union=6)[0]
     assert v.shape == (6,)
-    long = union_visual(scene, 0, 1, d_union=20)
+    long = union_visual(scene, [(0, 1)], d_union=20)[0]
     assert long.shape == (20,)
     # layout: both union-normalized boxes, then the feature mean, then padding
     np.testing.assert_allclose(long[:8], [0, 0, 5 / 9, 5 / 6, 4 / 9, 1 / 6, 5 / 9, 5 / 6])
@@ -162,9 +175,87 @@ def test_pair_visual_passthrough():
     scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
                         gt_objects=(), gt_triplets=(),
                         pair_visual={(0, 1): custom})
-    np.testing.assert_array_equal(union_visual(scene, 0, 1, 6), custom)
+    np.testing.assert_array_equal(union_visual(scene, [(0, 1)], 6)[0], custom)
     with pytest.raises(ValueError):
-        union_visual(scene, 0, 1, 7)
+        union_visual(scene, [(0, 1)], 7)
+
+
+def old_union_visual(scene: SceneRecord, i: int, j: int, d_union: int) -> np.ndarray:
+    """The per-pair union visual the batched one replaced, kept as its oracle."""
+    if scene.pair_visual is not None and (i, j) in scene.pair_visual:
+        v = scene.pair_visual[(i, j)]
+        if v.shape != (d_union,):
+            raise ValueError(f"{scene.id}: pair_visual[{i},{j}] has length {v.shape[0]}, "
+                             f"expected {d_union}")
+        return v
+    pi, pj = scene.proposals[i], scene.proposals[j]
+    u = old_union_box(pi.box, pj.box)
+    raw = np.concatenate([old_normalize_box(pi.box, u), old_normalize_box(pj.box, u),
+                          (pi.feature + pj.feature) / 2.0])
+    if raw.shape[0] >= d_union:
+        return raw[:d_union]
+    return np.concatenate([raw, np.zeros(d_union - raw.shape[0])])
+
+
+D_OBJ = 5  # surrogate rows are 8 + D_OBJ long before truncation or padding
+_d_unions = st.one_of(st.integers(1, 7), st.integers(8, 8 + D_OBJ),
+                      st.integers(9 + D_OBJ, 30))
+
+
+@st.composite
+def visual_cases(draw):
+    """A scene of 2-5 proposals, some of its ordered pairs (repeats allowed,
+    maybe none), ``d_union`` and optional pooled pair features, a few of them
+    of the wrong length."""
+    n = draw(st.integers(2, 5))
+    d_union = draw(_d_unions)
+    props = tuple(ObjectProposal(
+        box=Box(*(draw(_coords) for _ in range(2)), *(draw(_extents) for _ in range(2))),
+        feature=np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=D_OBJ,
+                                       max_size=D_OBJ))),
+        label_dist=np.full(4, 0.25)) for _ in range(n))
+    pooled = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(ordered_pairs(n)), unique=True, max_size=6))
+        lengths = st.sampled_from([d_union] * 6 + [d_union + 1, max(d_union - 1, 0)])
+        pooled = {k: np.arange(draw(lengths), dtype=np.float64) + 7 * k[0] + k[1]
+                  for k in keys}
+    scene = SceneRecord(id="v", image_size=(128, 128), proposals=props, gt_objects=(),
+                        gt_triplets=(), pair_visual=pooled)
+    return scene, draw(st.lists(st.sampled_from(ordered_pairs(n)), max_size=12)), d_union
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=visual_cases())
+@example(case=(SceneRecord(id="w", image_size=(9, 9), proposals=tuple(
+    ObjectProposal(box=Box(k, k, 2, 3), feature=np.ones(D_OBJ), label_dist=np.full(4, 0.25))
+    for k in range(3)), gt_objects=(), gt_triplets=(),
+    pair_visual={(0, 1): np.zeros(8), (2, 1): np.zeros(9)}), [(1, 2), (2, 1), (0, 1)], 8))
+@example(case=(SceneRecord(id="w", image_size=(9, 9), proposals=tuple(
+    ObjectProposal(box=Box(k, k, 2, 3), feature=np.ones(D_OBJ), label_dist=np.full(4, 0.25))
+    for k in range(3)), gt_objects=(), gt_triplets=(),
+    pair_visual={(0, 1): np.zeros(7), (2, 1): np.zeros(9)}), [(1, 2), (2, 1), (0, 1)], 8))
+def test_union_visual_equals_the_per_pair_code(case):
+    """Every ``d_union`` regime (below the 8 box columns, inside the feature
+    mean, past it), scenes with and without pooled pair features, and pooled
+    features of the wrong length: the batched rows equal the per-pair rows
+    bit for bit, and a wrong-length row for a listed pair raises the same
+    error, naming the first such pair."""
+    scene, pairs, d_union = case
+    got, got_err = _outcome(lambda: union_visual(scene, pairs, d_union))
+    want, want_err = _outcome(lambda: np.array(
+        [old_union_visual(scene, i, j, d_union) for i, j in pairs]).reshape(-1, d_union))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_conv_chain_gradients():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sgg.scenes import (Box, EmbeddingTable, GtObject, ObjectProposal,
-                        SceneRecord, Triplet, iou, load_scenes, normalize_box,
-                        one_hot, save_scenes, union_box)
+                        SceneRecord, Triplet, iou, load_scenes, one_hot,
+                        save_scenes, union_frame)
 
 
 def make_scene(scene_id="s0", n=3):
@@ -46,25 +46,32 @@ def test_iou_symmetry():
         assert 0.0 <= iou(a, b) <= 1.0
 
 
-def test_union_box_hand_computed():
-    u = union_box(Box(1, 0, 2, 2), Box(2, 1, 3, 4))
-    assert (u.x, u.y, u.w, u.h) == (1.0, 0.0, 4.0, 5.0)
+def test_union_frame_hand_computed():
+    # the union of (1, 0, 2, 2) and (2, 1, 3, 4) is (1, 0, 4, 5)
+    frame = union_frame([[1, 0, 2, 2]], [[2, 1, 3, 4]])
+    assert frame.shape == (1, 2, 4)
+    np.testing.assert_array_equal(frame[0], [[0 / 4, 0 / 5, 2 / 4, 2 / 5],
+                                             [1 / 4, 1 / 5, 3 / 4, 4 / 5]])
 
 
-def test_union_box_contains_both():
+def test_union_frame_contains_both():
     rng = np.random.default_rng(3)
+    subs, objs = [], []
     for _ in range(30):
-        a = Box(*rng.uniform(0, 20, 2), *rng.uniform(1, 9, 2))
-        b = Box(*rng.uniform(0, 20, 2), *rng.uniform(1, 9, 2))
-        u = union_box(a, b)
-        for box in (a, b):
-            assert u.x <= box.x and u.y <= box.y
-            assert u.x + u.w >= box.x + box.w and u.y + u.h >= box.y + box.h
+        subs.append([*rng.uniform(0, 20, 2), *rng.uniform(1, 9, 2)])
+        objs.append([*rng.uniform(0, 20, 2), *rng.uniform(1, 9, 2)])
+    frame = union_frame(np.array(subs), np.array(objs))
+    start, end = frame[..., :2], frame[..., :2] + frame[..., 2:]
+    # both boxes lie inside the union, and the union is tight on every side
+    assert np.all(start >= 0.0) and np.all(end <= 1.0 + 1e-12)
+    assert np.all(start.min(axis=1) == 0.0)
+    np.testing.assert_allclose(end.max(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_normalize_box_centered_half():
-    v = normalize_box(Box(2, 2, 2, 2), Box(0, 0, 4, 4))
-    np.testing.assert_allclose(v, [0.5, 0.5, 0.5, 0.5])
+def test_union_frame_centered_half():
+    frame = union_frame([[2, 2, 2, 2]], [[0, 0, 4, 4]])
+    np.testing.assert_allclose(frame[0, 0], [0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_allclose(frame[0, 1], [0.0, 0.0, 1.0, 1.0])
 
 
 def test_box_rejects_degenerate():

@@ -171,3 +171,15 @@ def test_relation_target_out_of_range_predicate():
     params = init_model_params(config, seed=0)
     with pytest.raises(ValueError, match="out of range"):
         prepare_scene(bad, params, config, match_iou=0.5)
+
+
+def test_object_target_out_of_range_class():
+    scene = related_scene("x")
+    bad = SceneRecord(id="b", image_size=(64, 64), proposals=scene.proposals,
+                      gt_objects=(scene.gt_objects[0], GtObject(box=scene.gt_objects[1].box,
+                                                                cls=DIMS.n_classes)),
+                      gt_triplets=scene.gt_triplets)
+    config = ModelConfig(dims=DIMS, iterations=1, use_srf=False)
+    params = init_model_params(config, seed=0)
+    with pytest.raises(ValueError, match="^b: gt object class 3 out of range for 3 classes"):
+        prepare_scene(bad, params, config, match_iou=0.5)
