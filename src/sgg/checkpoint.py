@@ -15,6 +15,8 @@ behavior configuration, and ``embed.table`` holds the class-embedding rows.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .config import ALL_DIRECTIONS, Dims, ModelConfig
@@ -59,6 +61,8 @@ def load_params(path) -> dict[str, np.ndarray]:
         name = row[1]
         try:
             shape = tuple(int(d) for d in row[2:])
+            if min(shape, default=0) < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: line {ln}: bad dimension in '{lines[ln - 1]}'") from None
         need = int(np.prod(shape)) if shape else 1
@@ -87,7 +91,19 @@ def _dims_vector(d: Dims) -> np.ndarray:
                      d.d_pe, d.mask_res, d.conv1_channels, d.conv2_channels], dtype=float)
 
 
-def _dims_from_vector(v: np.ndarray) -> Dims:
+def _from_meta(arrays, key: str, size: int, path, build):
+    """``build`` applied to the stored ``meta.*`` vector ``key``; its errors
+    name the file and the key."""
+    v = arrays[key]
+    if v.shape != (size,):
+        raise ValueError(f"{path}: '{key}' has shape {v.shape}, expected ({size},)")
+    try:
+        return build([float(x) for x in v])
+    except ValueError as e:
+        raise ValueError(f"{path}: '{key}': {e}") from None
+
+
+def _dims_from_vector(v: list[float]) -> Dims:
     f = [int(round(x)) for x in v]
     return Dims(n_classes=f[0], n_predicates=f[1], d_obj=f[2], d_emb=f[3], d_union=f[4],
                 d_rel=f[5], d_pe=f[6], mask_res=f[7], conv1_channels=f[8],
@@ -101,12 +117,12 @@ def _flags_vector(c: ModelConfig) -> np.ndarray:
                      float(c.srf_in_predcls)])
 
 
-def _config_from_meta(dims_vec: np.ndarray, flags: np.ndarray) -> ModelConfig:
+def _config_from_flags(dims: Dims, flags: list[float]) -> ModelConfig:
     dirs = frozenset(d for d, on in zip(ALL_DIRECTIONS, flags[1:5]) if on > 0.5)
-    return ModelConfig(dims=_dims_from_vector(dims_vec), iterations=int(round(flags[0])),
+    return ModelConfig(dims=dims, iterations=int(round(flags[0])),
                        directions=dirs, use_language=flags[5] > 0.5,
                        use_prede=flags[6] > 0.5, use_srf=flags[7] > 0.5,
-                       srf_top_k=int(round(flags[8])), srf_threshold=float(flags[9]),
+                       srf_top_k=int(round(flags[8])), srf_threshold=flags[9],
                        srf_in_predcls=flags[10] > 0.5)
 
 
@@ -116,27 +132,27 @@ def save_model(path, params: ModelParams, config: ModelConfig) -> None:
     save_params(path, arrays)
 
 
-def _fill(named_tensors, arrays, path) -> None:
-    for name, t in named_tensors.items():
+def _fill(named_arrays, arrays, path) -> None:
+    """Copy each stored array into the initialized one of the same name."""
+    for name, target in named_arrays.items():
         if name not in arrays:
             raise ValueError(f"{path}: checkpoint is missing parameter '{name}'")
-        if arrays[name].shape != t.data.shape:
+        if arrays[name].shape != target.shape:
             raise ValueError(f"{path}: parameter '{name}' has shape {arrays[name].shape}, "
-                             f"expected {t.data.shape}")
-        t.data[...] = arrays[name]
+                             f"expected {target.shape}")
+        target[...] = arrays[name]
 
 
 def load_model(path) -> tuple[ModelParams, ModelConfig]:
     arrays = load_params(path)
-    for key in ("meta.dims", "meta.flags", "embed.table"):
+    for key in ("meta.dims", "meta.flags"):
         if key not in arrays:
             raise ValueError(f"{path}: checkpoint is missing '{key}'")
-    config = _config_from_meta(arrays["meta.dims"], arrays["meta.flags"])
-    dims = config.dims
-    embed = EmbeddingTable(matrix=arrays["embed.table"])
+    dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
+    config = _from_meta(arrays, "meta.flags", 11, path, partial(_config_from_flags, dims))
     srf = init_srf_params(dims, np.random.default_rng(0)) if "srf.l1.w" in arrays else None
-    params = init_model_params(config, seed=0, srf=srf, embed=embed)
-    _fill(params.named_tensors(), arrays, path)
+    params = init_model_params(config, seed=0, srf=srf)
+    _fill(params.named_arrays(), arrays, path)
     return params, config
 
 
@@ -149,11 +165,11 @@ def save_srf_checkpoint(path, srf: SrfParams, embed: EmbeddingTable, dims: Dims)
 
 def load_srf_checkpoint(path) -> tuple[SrfParams, EmbeddingTable, Dims]:
     arrays = load_params(path)
-    for key in ("meta.dims", "embed.table", "srf.l1.w"):
-        if key not in arrays:
-            raise ValueError(f"{path}: filter checkpoint is missing '{key}'")
-    dims = _dims_from_vector(arrays["meta.dims"])
+    if "meta.dims" not in arrays:
+        raise ValueError(f"{path}: filter checkpoint is missing 'meta.dims'")
+    dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
     srf = init_srf_params(dims, np.random.default_rng(0))
-    _fill(srf.named("srf"), arrays, path)
-    embed = EmbeddingTable(matrix=arrays["embed.table"])
+    embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, 0)
+    _fill({**{name: t.data for name, t in srf.named("srf").items()},
+           "embed.table": embed.matrix}, arrays, path)
     return srf, embed, dims

@@ -14,6 +14,10 @@ Subcommands::
                    [--mode sggen|sgcls|predcls]
     sgg gradcheck  [--seed N]
 
+The settings of ``gen``, ``train-srf`` and ``train`` are the fields of the
+config dataclasses they build (``SynthConfig``; ``TrainConfig`` and ``Dims``;
+plus ``ModelConfig``), with the dataclass defaults.  ``use_srf`` is the one
+field no config key sets: ``--srf-model`` turns it on and ``--no-srf`` off.
 Config files hold flat ``key = value`` lines ('#' starts a comment); command
 line flags override them.  Every run echoes its effective settings as
 ``config key = value`` lines.  Exit codes: 0 success, 1 usage or data errors,
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .checkpoint import (load_model, load_srf_checkpoint, save_model,
@@ -51,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# settings: defaults <- config file <- command line
+# settings: dataclass defaults <- config file <- command line
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -71,7 +76,8 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def merge_settings(defaults: dict[str, str], args) -> dict[str, str]:
-    """Layer the config file and flag overrides over per-command defaults."""
+    """Layer the config file and flag overrides over per-command defaults;
+    a flag overrides the setting named by its argparse ``dest``."""
     settings = dict(defaults)
     if getattr(args, "config", None):
         for key, value in read_config_file(args.config).items():
@@ -79,33 +85,10 @@ def merge_settings(defaults: dict[str, str], args) -> dict[str, str]:
                 raise ValueError(f"{args.config}: unknown key '{key}'")
             settings[key] = value
     for key in settings:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag if isinstance(flag, str) else repr(flag)
     return settings
-
-
-def _as_int(settings, key) -> int:
-    try:
-        return int(settings[key])
-    except ValueError:
-        raise ValueError(f"config {key}: expected an integer, got '{settings[key]}'") from None
-
-
-def _as_float(settings, key) -> float:
-    try:
-        return float(settings[key])
-    except ValueError:
-        raise ValueError(f"config {key}: expected a number, got '{settings[key]}'") from None
-
-
-def _as_bool(settings, key) -> bool:
-    v = settings[key].lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"config {key}: expected true/false, got '{settings[key]}'")
 
 
 def parse_directions(text: str) -> frozenset[str]:
@@ -127,6 +110,55 @@ def format_directions(directions: frozenset[str]) -> str:
     return ",".join(kept) if kept else "none"
 
 
+def render_settings(config) -> dict[str, str]:
+    """A config's fields as settings strings, nested configs flattened in."""
+    out = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update(render_settings(value))
+        elif isinstance(value, bool):
+            out[field.name] = "true" if value else "false"
+        elif isinstance(value, frozenset):
+            out[field.name] = format_directions(value)
+        else:
+            out[field.name] = repr(value)
+    return out
+
+
+def parse_setting(key: str, kind: str, text: str):
+    """A settings string as a value of ``kind``, a field's annotation as
+    written: int, float, bool or frozenset (message directions)."""
+    if kind == "frozenset":
+        try:
+            return parse_directions(text)
+        except ValueError as e:
+            raise ValueError(f"config {key}: {e}") from None
+    if kind == "bool":
+        if text.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return text.lower() in ("true", "1", "yes")
+        raise ValueError(f"config {key}: expected true/false, got '{text}'")
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"config {key}: expected an integer, got '{text}'") from None
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # no float setting has a meaning at inf or nan
+        raise ValueError(f"config {key}: expected a finite number, got '{text}'")
+    return value
+
+
+def config_from_settings(cls, settings: dict[str, str], **given):
+    """Build ``cls`` from settings strings, each field parsed by its type;
+    fields passed in ``given`` are taken as they are."""
+    return cls(**given, **{f.name: parse_setting(f.name, f.type, settings[f.name])
+                           for f in dataclasses.fields(cls) if f.name not in given})
+
+
 def echo_settings(settings: dict[str, str]) -> None:
     for key, value in settings.items():
         print(f"config {key} = {value}")
@@ -135,25 +167,14 @@ def echo_settings(settings: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-
-_DIMS_KEYS = ("d_obj", "d_emb", "d_union", "d_rel", "d_pe", "mask_res",
-              "conv1_channels", "conv2_channels")
-
-
-def _dims_defaults() -> dict[str, str]:
-    d = Dims(n_classes=2, n_predicates=1)
-    return {key: str(getattr(d, key)) for key in _DIMS_KEYS}
+# Dims has no default class counts; this one stands in where only the other
+# fields' defaults are read.
+_ANY_DIMS = Dims(n_classes=2, n_predicates=1)
 
 
-def _dims_from_settings(settings) -> Dims:
-    return Dims(n_classes=_as_int(settings, "n_classes"),
-                n_predicates=_as_int(settings, "n_predicates"),
-                **{key: _as_int(settings, key) for key in _DIMS_KEYS})
-
-
-def _infer_corpus_shape(scenes) -> dict[str, str]:
-    """Dims defaults that can be read off the corpus itself."""
-    out = {}
+def _corpus_dims(scenes) -> dict[str, str]:
+    """Dims settings with the sizes read off the corpus ('' where it has none)."""
+    out = {**render_settings(_ANY_DIMS), "n_classes": "", "n_predicates": ""}
     for s in scenes:
         if s.proposals:
             out["n_classes"] = str(len(s.proposals[0].label_dist))
@@ -165,17 +186,11 @@ def _infer_corpus_shape(scenes) -> dict[str, str]:
     return out
 
 
-def _train_config(settings) -> TrainConfig:
-    return TrainConfig(epochs=_as_int(settings, "epochs"),
-                       lr=_as_float(settings, "lr"),
-                       momentum=_as_float(settings, "momentum"),
-                       seed=_as_int(settings, "seed"),
-                       negative_ratio=_as_float(settings, "negative_ratio"),
-                       match_iou=_as_float(settings, "match_iou"))
-
-
-_TRAIN_DEFAULTS = {"epochs": "15", "lr": repr(5e-3), "momentum": "0.9",
-                   "negative_ratio": "3.0", "match_iou": "0.5", "seed": "0"}
+def _dims(settings, data) -> Dims:
+    for key in ("n_classes", "n_predicates"):
+        if not settings[key]:
+            raise ValueError(f"cannot infer {key} from {data}; set it in the config")
+    return config_from_settings(Dims, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +198,9 @@ _TRAIN_DEFAULTS = {"epochs": "15", "lr": repr(5e-3), "momentum": "0.9",
 
 
 def cmd_gen(args) -> int:
-    defaults = {"num_scenes": "100", "min_objects": "3", "max_objects": "6",
-                "n_object_classes": "6", "n_predicates": "6",
-                "feature_noise": "0.3", "box_jitter": "6.0", "dropout": "0.1",
-                "d_obj": "64", "seed": "0", "confusable": "0.0"}
-    settings = merge_settings(defaults, args)
+    settings = merge_settings(render_settings(SynthConfig()), args)
     echo_settings(settings)
-    cfg = SynthConfig(num_scenes=_as_int(settings, "num_scenes"),
-                      min_objects=_as_int(settings, "min_objects"),
-                      max_objects=_as_int(settings, "max_objects"),
-                      n_object_classes=_as_int(settings, "n_object_classes"),
-                      n_predicates=_as_int(settings, "n_predicates"),
-                      feature_noise=_as_float(settings, "feature_noise"),
-                      box_jitter=_as_float(settings, "box_jitter"),
-                      dropout=_as_float(settings, "dropout"),
-                      seed=_as_int(settings, "seed"),
-                      d_obj=_as_int(settings, "d_obj"),
-                      confusable=_as_float(settings, "confusable"))
-    scenes = generate_dataset(cfg)
+    scenes = generate_dataset(config_from_settings(SynthConfig, settings))
     save_scenes(args.out, scenes)
     print(f"wrote {len(scenes)} scenes to {args.out}")
     return 0
@@ -208,18 +208,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train_srf(args) -> int:
     scenes = load_scenes(args.data)
-    defaults = dict(_TRAIN_DEFAULTS)
-    defaults.update(_dims_defaults())
-    defaults.update({"n_classes": "", "n_predicates": ""})
-    defaults.update(_infer_corpus_shape(scenes))
-    settings = merge_settings(defaults, args)
-    for key in ("n_classes", "n_predicates"):
-        if not settings[key]:
-            raise ValueError(f"cannot infer {key} from {args.data}; set it in the config")
+    settings = merge_settings({**render_settings(TrainConfig()), **_corpus_dims(scenes)}, args)
+    dims = _dims(settings, args.data)
     echo_settings(settings)
-    dims = _dims_from_settings(settings)
-    embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, _as_int(settings, "seed"))
-    srf, history = train_srf(scenes, embed, dims, _train_config(settings))
+    tcfg = config_from_settings(TrainConfig, settings)
+    embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, tcfg.seed)
+    srf, history = train_srf(scenes, embed, dims, tcfg)
     for epoch, loss in enumerate(history, start=1):
         print(f"epoch {epoch} filter loss {loss:.6f}")
     save_srf_checkpoint(args.out, srf, embed, dims)
@@ -227,64 +221,25 @@ def cmd_train_srf(args) -> int:
     return 0
 
 
-def _model_flag_overrides(config: ModelConfig, args) -> ModelConfig:
-    if getattr(args, "iters", None) is not None:
-        config = dataclasses.replace(config, iterations=args.iters)
-    if getattr(args, "directions", None) is not None:
-        config = dataclasses.replace(config, directions=parse_directions(args.directions))
-    if getattr(args, "no_srf", False):
-        config = dataclasses.replace(config, use_srf=False)
-    return config
-
-
 def cmd_train(args) -> int:
     scenes = load_scenes(args.data)
     srf = embed = None
     if args.srf_model:
         srf, embed, dims = load_srf_checkpoint(args.srf_model)
-        dim_defaults = {key: str(getattr(dims, key)) for key in _DIMS_KEYS}
-        dim_defaults.update({"n_classes": str(dims.n_classes),
-                             "n_predicates": str(dims.n_predicates)})
     elif not args.no_srf:
         raise ValueError("train: pass --srf-model, or --no-srf to skip pair filtering")
-    else:
-        dim_defaults = _dims_defaults()
-        dim_defaults.update({"n_classes": "", "n_predicates": ""})
-        dim_defaults.update(_infer_corpus_shape(scenes))
-
-    defaults = dict(_TRAIN_DEFAULTS)
-    defaults.update(dim_defaults)
-    defaults.update({"iterations": "2", "directions": "all", "use_language": "true",
-                     "use_prede": "true", "srf_top_k": "128",
-                     "srf_threshold": "0.55", "srf_in_predcls": "false"})
+    defaults = {**render_settings(TrainConfig()), **render_settings(ModelConfig(_ANY_DIMS)),
+                **(render_settings(dims) if srf is not None else _corpus_dims(scenes))}
+    del defaults["use_srf"]  # --srf-model / --no-srf set it, no config key
     settings = merge_settings(defaults, args)
-    for key in ("n_classes", "n_predicates"):
-        if not settings[key]:
-            raise ValueError(f"cannot infer {key} from {args.data}; set it in the config")
-    if args.iters is not None:
-        settings["iterations"] = str(args.iters)
-    settings["directions"] = format_directions(parse_directions(settings["directions"]))
-    if args.no_language:
-        settings["use_language"] = "false"
-    if args.no_prede:
-        settings["use_prede"] = "false"
-    settings["use_srf"] = "false" if args.no_srf else str(srf is not None).lower()
-    echo_settings(settings)
-
-    config = ModelConfig(dims=_dims_from_settings(settings),
-                         iterations=_as_int(settings, "iterations"),
-                         directions=parse_directions(settings["directions"]),
-                         use_language=_as_bool(settings, "use_language"),
-                         use_prede=_as_bool(settings, "use_prede"),
-                         use_srf=_as_bool(settings, "use_srf"),
-                         srf_top_k=_as_int(settings, "srf_top_k"),
-                         srf_threshold=_as_float(settings, "srf_threshold"),
-                         srf_in_predcls=_as_bool(settings, "srf_in_predcls"))
+    config = config_from_settings(ModelConfig, settings, dims=_dims(settings, args.data),
+                                  use_srf=srf is not None and not args.no_srf)
+    shown = render_settings(config)
+    echo_settings({**settings, "directions": shown["directions"], "use_srf": shown["use_srf"]})
+    tcfg = config_from_settings(TrainConfig, settings)
     if embed is None:
-        embed = EmbeddingTable.seeded(config.dims.n_classes, config.dims.d_emb,
-                                      _as_int(settings, "seed"))
-    params, history = train_main(scenes, config, _train_config(settings),
-                                 srf=srf, embed=embed)
+        embed = EmbeddingTable.seeded(config.dims.n_classes, config.dims.d_emb, tcfg.seed)
+    params, history = train_main(scenes, config, tcfg, srf=srf, embed=embed)
     for epoch, loss in enumerate(history, start=1):
         print(f"epoch {epoch} loss {loss:.6f}")
     save_model(args.out, params, config)
@@ -305,14 +260,17 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 def cmd_eval(args) -> int:
     scenes = load_scenes(args.data)
     params, config = load_model(args.model)
-    config = _model_flag_overrides(config, args)
+    if args.iterations is not None:
+        config = dataclasses.replace(config, iterations=args.iterations)
+    if args.directions is not None:
+        config = dataclasses.replace(config, directions=parse_directions(args.directions))
+    if args.no_srf:
+        config = dataclasses.replace(config, use_srf=False)
     modes = MODES if args.mode == "all" else (args.mode,)
     ks = _parse_ks(args.k)
-    echo_settings({"iterations": str(config.iterations),
-                   "directions": format_directions(config.directions),
-                   "use_language": str(config.use_language).lower(),
-                   "use_prede": str(config.use_prede).lower(),
-                   "use_srf": str(config.use_srf).lower(),
+    shown = render_settings(config)
+    echo_settings({**{key: shown[key] for key in ("iterations", "directions", "use_language",
+                                                  "use_prede", "use_srf")},
                    "mode": args.mode, "k": ",".join(str(k) for k in ks),
                    "workers": str(args.workers)})
     result = evaluate(scenes, params, config, modes=modes, ks=ks, workers=args.workers)
@@ -329,7 +287,6 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     scenes = load_scenes(args.data)
     params, config = load_model(args.model)
-    config = _model_flag_overrides(config, args)
     echo_settings({"mode": args.mode,
                    "directions": format_directions(config.directions)})
     chunks = []
@@ -391,15 +348,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit the full model")
     common(p, data=True, srf_model=True, out=True)
-    p.add_argument("--iters", type=int, default=None, help="message passing iterations")
+    p.add_argument("--iters", dest="iterations", type=int, default=None,
+                   help="message passing iterations")
     p.add_argument("--directions", default=None,
                    help="message directions: 'all', 'none', or a comma list of "
                         "oo,ro,or,rr")
-    p.add_argument("--no-language", action="store_true",
+    p.add_argument("--no-language", dest="use_language", action="store_const",
+                   const="false",
                    help="drop label embeddings from object-to-object messages")
     p.add_argument("--no-srf", action="store_true",
                    help="keep all confident pairs instead of the learned filter")
-    p.add_argument("--no-prede", action="store_true",
+    p.add_argument("--no-prede", dest="use_prede", action="store_const", const="false",
                    help="classify relations without subject/object label embeddings")
     p.set_defaults(func=cmd_train)
 
@@ -407,7 +366,7 @@ def build_parser() -> _Parser:
     common(p, data=True, model=True, out=True)
     p.add_argument("--mode", choices=MODES + ("all",), default="all")
     p.add_argument("--k", default="20,50,100", help="comma list of recall cutoffs")
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", dest="iterations", type=int, default=None)
     p.add_argument("--directions", default=None)
     p.add_argument("--no-srf", action="store_true")
     p.add_argument("--workers", type=int, default=1, help="evaluation threads")

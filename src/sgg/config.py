@@ -29,9 +29,9 @@ class Dims:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError("need at least background plus one object class")
+            raise ValueError("n_classes must count background plus at least one object class")
         if self.n_predicates < 1:
-            raise ValueError("need at least one predicate class")
+            raise ValueError("n_predicates must be at least 1")
         for name in ("d_obj", "d_emb", "d_union", "d_rel", "d_pe",
                      "conv1_channels", "conv2_channels"):
             if getattr(self, name) < 1:

@@ -60,13 +60,14 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.num_scenes < 1 or self.min_objects < 1 or self.max_objects < self.min_objects:
-            raise ValueError("bad scene or object counts")
-        if self.n_object_classes < 2 or self.n_predicates < 1:
-            raise ValueError("need at least two object classes and one predicate")
+            raise ValueError("bad scene or object counts: need num_scenes >= 1 and "
+                             "1 <= min_objects <= max_objects")
+        if self.n_object_classes < 2 or self.n_predicates < 1 or self.d_obj < 1:
+            raise ValueError("need n_object_classes >= 2, n_predicates >= 1 and d_obj >= 1")
         if not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout must lie in [0, 1]")
-        if self.feature_noise < 0 or self.box_jitter < 0:
-            raise ValueError("noise levels must be nonnegative")
+        if self.feature_noise < 0 or self.box_jitter < 0 or self.seed < 0:
+            raise ValueError("feature_noise, box_jitter and seed must be nonnegative")
         if not 0.0 <= self.confusable <= 1.0:
             raise ValueError("confusable must lie in [0, 1]")
 
@@ -156,7 +157,7 @@ def _jitter_box(b: Box, rng: np.random.Generator, sigma: float) -> Box:
     h = min(max(b.h + dh, 4.0), CANVAS)
     x = min(max(b.x + dx, 0.0), CANVAS - w)
     y = min(max(b.y + dy, 0.0), CANVAS - h)
-    return Box(x, y, w, h)
+    return Box(float(x), float(y), float(w), float(h))
 
 
 def generate_scene(cfg: SynthConfig, index: int, prototypes: np.ndarray | None = None,

@@ -44,14 +44,22 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("bad optimizer settings")
+            raise ValueError("bad optimizer settings: need epochs >= 0, lr > 0 and "
+                             "momentum in [0, 1)")
         if self.negative_ratio < 0 or not 0.0 < self.match_iou < 1.0:
-            raise ValueError("bad supervision settings")
+            raise ValueError("bad supervision settings: need negative_ratio >= 0 and "
+                             "match_iou in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 # A diverging step overflows; ``_finite``'s loss check reports it, so numpy's
 # floating-point warnings would only repeat it on stderr.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+# An epoch whose mean loss is this many times the first step's loss (taken at
+# the initial parameters) is diverging, even while every loss is still finite.
+DIVERGENCE_FACTOR = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +85,7 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
 
     params = init_srf_params(dims, np.random.default_rng([tcfg.seed, 2]))
     opt = SgdMomentum(params.tensors(), lr=tcfg.lr, momentum=tcfg.momentum)
-    history = []
+    history, first = [], None
     for epoch in range(1, tcfg.epochs + 1):
         opt.set_epoch(epoch)
         total, steps = 0.0, 0
@@ -85,16 +93,18 @@ def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
             if pos.size == 0:
                 continue
             rng = np.random.default_rng([tcfg.seed, 3, epoch, idx])
-            take = min(neg.size, int(tcfg.negative_ratio * pos.size))
+            take = int(min(neg.size, tcfg.negative_ratio * pos.size))
             sel = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
             with np.errstate(**_QUIET):
                 loss = srf_loss(inputs[sel], labels[sel], params)
-                total += _finite(loss, epoch, scene_id)
+                value = _finite(loss, epoch, scene_id)
                 backward(loss)
                 opt.step()
+            first = value if first is None else first
+            total += value
             steps += 1
-        history.append(total / max(steps, 1))
+        history.append(_converging("relation filter", epoch, total / steps, first))
     return params, history
 
 
@@ -110,6 +120,16 @@ def _finite(loss: Tensor, epoch: int, scene_id: str) -> float:
         raise ValueError(f"epoch {epoch}, scene {scene_id}: training loss is {value}; "
                          f"try a lower learning rate")
     return value
+
+
+def _converging(stage: str, epoch: int, mean: float, first: float) -> float:
+    """An epoch's mean loss; one past ``DIVERGENCE_FACTOR`` times the first
+    step's loss stops the run before any checkpoint is written."""
+    if mean > DIVERGENCE_FACTOR * first:
+        raise ValueError(f"{stage} training, epoch {epoch}: mean loss {mean:.4g} is over "
+                         f"{DIVERGENCE_FACTOR:g} times the first step's {first:.4g}; "
+                         f"the run is diverging, try a lower learning rate")
+    return mean
 
 
 def _object_targets(scene: SceneRecord, n_classes: int, match_iou: float) -> np.ndarray:
@@ -175,7 +195,7 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
         raise ValueError("the filter retained no pairs in any scene; nothing to train on")
 
     opt = SgdMomentum(params.trainable(), lr=tcfg.lr, momentum=tcfg.momentum)
-    history = []
+    history, first = [], None
     for epoch in range(1, tcfg.epochs + 1):
         opt.set_epoch(epoch)
         total = 0.0
@@ -183,13 +203,15 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
             rng = np.random.default_rng([tcfg.seed, 4, epoch, idx])
             related = prep.rel_targets != config.dims.no_relation
             pos, neg = np.flatnonzero(related), np.flatnonzero(~related)
-            take = min(neg.size, int(tcfg.negative_ratio * pos.size))
+            take = int(min(neg.size, tcfg.negative_ratio * pos.size))
             rows = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
             with np.errstate(**_QUIET):
                 loss = scene_loss(prep, params, config, rows)
-                total += _finite(loss, epoch, prep.scene.id)
+                value = _finite(loss, epoch, prep.scene.id)
                 backward(loss)
                 opt.step()
-        history.append(total / len(prepared))
+            first = value if first is None else first
+            total += value
+        history.append(_converging("main model", epoch, total / len(prepared), first))
     return params, history

@@ -8,7 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sgg.checkpoint import load_params, save_model, save_params
 from sgg.cli import format_directions, parse_directions, run
+from sgg.config import Dims, ModelConfig
+from sgg.model import init_model_params
 from sgg.scenes import load_scenes
 
 GEN_CFG = """\
@@ -157,6 +160,49 @@ def test_train_no_srf_echoes_directions(tmp_path, capsys):
     assert "config use_srf = false" in out
 
 
+SETTINGS = {
+    "gen": "num_scenes min_objects max_objects n_object_classes n_predicates feature_noise "
+           "box_jitter dropout seed d_obj confusable",
+    "train-srf": "epochs lr momentum seed negative_ratio match_iou n_classes n_predicates d_obj "
+                 "d_emb d_union d_rel d_pe mask_res conv1_channels conv2_channels",
+    "train": "epochs lr momentum seed negative_ratio match_iou n_classes n_predicates d_obj "
+             "d_emb d_union d_rel d_pe mask_res conv1_channels conv2_channels iterations "
+             "directions use_language use_prede use_srf srf_top_k srf_threshold srf_in_predcls",
+    "eval": "iterations directions use_language use_prede use_srf mode k workers",
+    "predict": "mode directions",
+}
+
+
+def _echoed(out):
+    return dict(line[len("config "):].split(" = ", 1) for line in out.splitlines()
+                if line.startswith("config "))
+
+
+def test_each_subcommand_echoes_its_settings_and_takes_them_back(tmp_path, capsys):
+    """The echo lists each setting once; every one of them except use_srf is
+    also a config key, and feeding the echo back as a config file changes nothing."""
+    data = gen_corpus(tmp_path)
+    ckpt = str(tmp_path / "m.ckpt")
+    runs = {"gen": (["gen", "--out", str(tmp_path / "g.jsonl")], []),
+            "train-srf": (["train-srf", "--data", data, "--out", str(tmp_path / "f.ckpt")],
+                          ["--config", write(tmp_path / "s.cfg", SRF_CFG)]),
+            "train": (["train", "--data", data, "--no-srf", "--out", ckpt],
+                      ["--iters", "1", "--no-language", "--config",
+                       write(tmp_path / "t.cfg", NO_SRF_CFG)]),
+            "eval": (["eval", "--data", data, "--model", ckpt, "--out", str(tmp_path / "e")], []),
+            "predict": (["predict", "--data", data, "--model", ckpt], [])}
+    for command, (args, settings) in runs.items():
+        capsys.readouterr()
+        assert run(args + settings) == 0, command
+        echoed = _echoed(capsys.readouterr().out)
+        assert sorted(echoed) == sorted(SETTINGS[command].split()), command
+        if command in ("gen", "train-srf", "train"):
+            again = write(tmp_path / "again.cfg", "".join(
+                f"{key} = {value}\n" for key, value in echoed.items() if key != "use_srf"))
+            assert run(args + ["--config", again]) == 0, command
+            assert _echoed(capsys.readouterr().out) == echoed, command
+
+
 # ---------------------------------------------------------------------------
 # errors
 
@@ -254,6 +300,66 @@ def test_diverging_training_reports_without_numpy_warnings(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(["train", "--data", data, "--no-srf", "--out", str(tmp_path / "m.ckpt"),
                     "--config", cfg]) == 1
+
+
+def test_diverging_filter_training_with_finite_losses_exits_1(tmp_path, capsys):
+    """Every loss stays finite, but the epoch mean grows far past the first
+    step's loss: the run stops before a checkpoint is written."""
+    data = str(tmp_path / "s.jsonl")
+    assert run(["gen", "--out", data, "--config",
+                write(tmp_path / "g.cfg", "num_scenes = 12\n")]) == 0
+    out = tmp_path / "f.ckpt"
+    assert run(["train-srf", "--data", data, "--out", str(out), "--config",
+                write(tmp_path / "s.cfg", "lr = 1e3\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: relation filter training, epoch 1: mean loss"), err
+    assert "diverging" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key,command", [
+    ("negative_ratio", ["train-srf"]), ("lr", ["train-srf"]),
+    ("srf_threshold", ["train", "--no-srf"])])
+def test_non_finite_float_setting_exits_1_naming_the_key(tmp_path, capsys, key, command, value):
+    data = gen_corpus(tmp_path)
+    cfg = write(tmp_path / "t.cfg", f"{key} = {value}\n")
+    capsys.readouterr()
+    assert run([*command, "--data", data, "--out", str(tmp_path / "x.ckpt"),
+                "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config {key}: expected a finite number, got '{value}'\n"
+
+
+def _checkpoint_with(path, key, edit):
+    """A small model checkpoint whose ``key`` vector is replaced by ``edit(vector)``."""
+    dims = Dims(n_classes=4, n_predicates=3, d_obj=8, d_emb=3, d_union=6, d_rel=6,
+                d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
+    config = ModelConfig(dims=dims, use_srf=False)
+    save_model(path, init_model_params(config, seed=0), config)
+    arrays = load_params(path)
+    arrays[key] = edit(arrays[key])
+    save_params(path, arrays)
+    return str(path)
+
+
+def _n_classes_1(v):
+    return np.concatenate([[1.0], v[1:]])
+
+
+@pytest.mark.parametrize("key,edit,message", [
+    ("meta.flags", lambda v: v[:5], r"'meta\.flags' has shape \(5,\), expected \(11,\)"),
+    ("meta.dims", lambda v: v[:3], r"'meta\.dims' has shape \(3,\), expected \(10,\)"),
+    ("meta.dims", _n_classes_1, r"'meta\.dims': n_classes must count background"),
+], ids=["short-flags", "short-dims", "one-class"])
+def test_malformed_checkpoint_meta_exits_1_naming_file_and_key(tmp_path, capsys, key, edit,
+                                                                message):
+    data = gen_corpus(tmp_path)
+    model = _checkpoint_with(tmp_path / "m.ckpt", key, edit)
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--model", model, "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: {re.escape(model)}: {message}", err), err
 
 
 def _with_gt_class(tmp_path, data, cls):

@@ -84,6 +84,14 @@ def test_classes_boxes_and_distributions_in_range():
             assert p.feature.shape == (CFG.d_obj,)
 
 
+def test_proposal_boxes_hold_python_floats():
+    """As boxes read back from a corpus file do: scalar IoU on numpy scalars
+    is slower."""
+    for scene in generate_dataset(CFG):
+        for p in scene.proposals:
+            assert {type(v) for v in (p.box.x, p.box.y, p.box.w, p.box.h)} == {float}
+
+
 def test_zero_dropout_keeps_every_object_in_order():
     cfg = SynthConfig(num_scenes=5, dropout=0.0, seed=2, d_obj=4,
                       n_object_classes=3, n_predicates=2)
