@@ -14,7 +14,7 @@ Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
 
 The ops: ``add``, ``add_bias``, ``matmul``, ``concat_cols``, ``relu``,
-``sigmoid``, ``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
+``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
 target-tailored message direction: split-first-layer MLP over
 [target; source] rows, then the mean per target), ``conv2d`` (im2col
 over blocks of instances of about ``CONV_BLOCK_BYTES``, one GEMM per block;
@@ -214,15 +214,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _stable_sigmoid(x.data)
-
-    def back(g):
-        _accumulate(x, g * out * (1.0 - out))
-
-    return Tensor._from_op(out, (x,), back)
 
 
 def _segment_sum(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:

@@ -20,8 +20,9 @@ from functools import partial
 import numpy as np
 
 from .config import ALL_DIRECTIONS, Dims, ModelConfig
-from .filter import SrfParams, init_srf_params
+from .filter import init_srf_params
 from .model import ModelParams, init_model_params
+from .nn import TwoLayerMlp
 from .scenes import EmbeddingTable
 
 _MAGIC = "sgg-checkpoint 1"
@@ -94,6 +95,8 @@ def _dims_vector(d: Dims) -> np.ndarray:
 def _from_meta(arrays, key: str, size: int, path, build):
     """``build`` applied to the stored ``meta.*`` vector ``key``; its errors
     name the file and the key."""
+    if key not in arrays:
+        raise ValueError(f"{path}: checkpoint is missing '{key}'")
     v = arrays[key]
     if v.shape != (size,):
         raise ValueError(f"{path}: '{key}' has shape {v.shape}, expected ({size},)")
@@ -127,9 +130,8 @@ def _config_from_flags(dims: Dims, flags: list[float]) -> ModelConfig:
 
 
 def save_model(path, params: ModelParams, config: ModelConfig) -> None:
-    arrays = {"meta.dims": _dims_vector(config.dims), "meta.flags": _flags_vector(config)}
-    arrays.update(params.named_arrays())
-    save_params(path, arrays)
+    save_params(path, {"meta.dims": _dims_vector(config.dims),
+                       "meta.flags": _flags_vector(config), **params.named_arrays()})
 
 
 def _fill(named_arrays, arrays, path) -> None:
@@ -145,9 +147,6 @@ def _fill(named_arrays, arrays, path) -> None:
 
 def load_model(path) -> tuple[ModelParams, ModelConfig]:
     arrays = load_params(path)
-    for key in ("meta.dims", "meta.flags"):
-        if key not in arrays:
-            raise ValueError(f"{path}: checkpoint is missing '{key}'")
     dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
     config = _from_meta(arrays, "meta.flags", 11, path, partial(_config_from_flags, dims))
     srf = init_srf_params(dims, np.random.default_rng(0)) if "srf.l1.w" in arrays else None
@@ -156,20 +155,20 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
     return params, config
 
 
-def save_srf_checkpoint(path, srf: SrfParams, embed: EmbeddingTable, dims: Dims) -> None:
-    arrays: dict[str, np.ndarray] = {"meta.dims": _dims_vector(dims)}
-    arrays.update({name: t.data for name, t in srf.named("srf").items()})
-    arrays["embed.table"] = embed.matrix
-    save_params(path, arrays)
+def _srf_arrays(srf: TwoLayerMlp, embed: EmbeddingTable) -> dict[str, np.ndarray]:
+    """The arrays of a filter checkpoint besides ``meta.dims``, by name."""
+    return {**{name: t.data for name, t in srf.named("srf").items()},
+            "embed.table": embed.matrix}
 
 
-def load_srf_checkpoint(path) -> tuple[SrfParams, EmbeddingTable, Dims]:
+def save_srf_checkpoint(path, srf: TwoLayerMlp, embed: EmbeddingTable, dims: Dims) -> None:
+    save_params(path, {"meta.dims": _dims_vector(dims), **_srf_arrays(srf, embed)})
+
+
+def load_srf_checkpoint(path) -> tuple[TwoLayerMlp, EmbeddingTable, Dims]:
     arrays = load_params(path)
-    if "meta.dims" not in arrays:
-        raise ValueError(f"{path}: filter checkpoint is missing 'meta.dims'")
     dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
     srf = init_srf_params(dims, np.random.default_rng(0))
     embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, 0)
-    _fill({**{name: t.data for name, t in srf.named("srf").items()},
-           "embed.table": embed.matrix}, arrays, path)
+    _fill(_srf_arrays(srf, embed), arrays, path)
     return srf, embed, dims

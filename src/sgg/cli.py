@@ -17,11 +17,12 @@ Subcommands::
 The settings of ``gen``, ``train-srf`` and ``train`` are the fields of the
 config dataclasses they build (``SynthConfig``; ``TrainConfig`` and ``Dims``;
 plus ``ModelConfig``), with the dataclass defaults.  ``use_srf`` is the one
-field no config key sets: ``--srf-model`` turns it on and ``--no-srf`` off.
-Config files hold flat ``key = value`` lines ('#' starts a comment); command
-line flags override them.  Every run echoes its effective settings as
-``config key = value`` lines.  Exit codes: 0 success, 1 usage or data errors,
-2 internal failures.
+field no config key sets: ``--srf-model`` turns it on and ``--no-srf`` off;
+the filter fixes ``n_classes`` and ``d_emb``.  These three and ``gradcheck``
+take ``--seed``; only these three take ``--config``, a file of flat
+``key = value`` lines ('#' starts a comment) that command line flags
+override.  Every run echoes its effective settings as ``config key = value``
+lines.  Exit codes: 0 success, 1 usage or data errors, 2 internal failures.
 """
 
 from __future__ import annotations
@@ -234,6 +235,10 @@ def cmd_train(args) -> int:
     settings = merge_settings(defaults, args)
     config = config_from_settings(ModelConfig, settings, dims=_dims(settings, args.data),
                                   use_srf=srf is not None and not args.no_srf)
+    for key in ("n_classes", "d_emb"):
+        if srf is not None and getattr(config.dims, key) != getattr(dims, key):
+            raise ValueError(f"{args.srf_model}: the filter has {key} = {getattr(dims, key)}, "
+                             f"the settings ask for {getattr(config.dims, key)}")
     shown = render_settings(config)
     echo_settings({**settings, "directions": shown["directions"], "use_srf": shown["use_srf"]})
     tcfg = config_from_settings(TrainConfig, settings)
@@ -326,7 +331,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sgg", description="scene graph generation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, model=False, srf_model=False, out=False):
+    def common(p, data=False, model=False, srf_model=False, out=False, settings=True):
         if data:
             p.add_argument("--data", required=True, help="scene corpus (JSONL)")
         if model:
@@ -335,8 +340,9 @@ def build_parser() -> _Parser:
             p.add_argument("--srf-model", help="relation filter checkpoint")
         if out:
             p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", help="flat 'key = value' settings file")
+        if settings:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--config", help="flat 'key = value' settings file")
 
     p = sub.add_parser("gen", help="synthesize a scene corpus")
     common(p, out=True)
@@ -363,7 +369,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="recall@K and mAP metrics")
-    common(p, data=True, model=True, out=True)
+    common(p, data=True, model=True, out=True, settings=False)
     p.add_argument("--mode", choices=MODES + ("all",), default="all")
     p.add_argument("--k", default="20,50,100", help="comma list of recall cutoffs")
     p.add_argument("--iters", dest="iterations", type=int, default=None)
@@ -373,7 +379,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="write formatted scene graphs")
-    common(p, data=True, model=True)
+    common(p, data=True, model=True, settings=False)
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--mode", choices=MODES, default="sggen")
     p.set_defaults(func=cmd_predict)

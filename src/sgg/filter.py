@@ -9,32 +9,18 @@ code over the (P, 2) index array of a whole pair list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import Tensor, binary_logistic_loss, flatten, sigmoid
+from .autodiff import Tensor, _stable_sigmoid, binary_logistic_loss, flatten
 from .config import Dims
 from .nn import TwoLayerMlp, make_mlp
 from .scenes import EmbeddingTable, SceneRecord, iou, pair_index, union_frame
 
 
-@dataclass
-class SrfParams:
-    """Two-layer scoring MLP over [e_i, b~_i, b~_j, e_j]."""
-
-    mlp: TwoLayerMlp
-
-    def tensors(self) -> list[Tensor]:
-        return self.mlp.tensors()
-
-    def named(self, prefix: str = "srf") -> dict[str, Tensor]:
-        return self.mlp.named(prefix)
-
-
-def init_srf_params(dims: Dims, rng: np.random.Generator) -> SrfParams:
+def init_srf_params(dims: Dims, rng: np.random.Generator) -> TwoLayerMlp:
+    """The filter: a two-layer scoring MLP over [e_i, b~_i, b~_j, e_j]."""
     d_in = 2 * dims.d_emb + 8
-    return SrfParams(mlp=make_mlp(rng, d_in, 2 * d_in, 1))
+    return make_mlp(rng, d_in, 2 * d_in, 1)
 
 
 def ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -52,13 +38,13 @@ def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
     return np.concatenate([emb[ij[:, 0]], frame, emb[ij[:, 1]]], axis=1)
 
 
-def pair_logits(inputs: np.ndarray, params: SrfParams) -> Tensor:
+def pair_logits(inputs: np.ndarray, params: TwoLayerMlp) -> Tensor:
     """Raw scores for rows of filter inputs (training target space)."""
-    return flatten(params.mlp(Tensor(np.atleast_2d(inputs))))
+    return flatten(params(Tensor(np.atleast_2d(inputs))))
 
 
-def score_pairs(inputs: np.ndarray, params: SrfParams) -> np.ndarray:
-    return sigmoid(pair_logits(inputs, params)).data
+def score_pairs(inputs: np.ndarray, params: TwoLayerMlp) -> np.ndarray:
+    return _stable_sigmoid(pair_logits(inputs, params).data)
 
 
 def prune_graph(pairs: list[tuple[int, int]], scores: np.ndarray, top_k: int,
@@ -84,16 +70,16 @@ def gt_overlaps(scene: SceneRecord) -> np.ndarray:
 
 
 def matched_triplets(scene: SceneRecord, pairs: list[tuple[int, int]],
-                     iou_threshold: float) -> np.ndarray:
+                     overlap: np.ndarray) -> np.ndarray:
     """Index of the first gt triplet each ordered proposal pair localizes, else -1.
 
-    Pair (i, j) localizes gt triplet (s, p, o) when proposal i overlaps gt
-    object s and proposal j overlaps gt object o, both above the IoU
-    threshold.
+    ``overlap`` marks, proposals by gt objects, the matches above the IoU
+    threshold (``gt_overlaps(scene) > threshold``).  Pair (i, j) localizes
+    gt triplet (s, p, o) when proposal i overlaps gt object s and proposal j
+    overlaps gt object o.
     """
     if not pairs or not scene.gt_triplets:
         return np.full(len(pairs), -1, dtype=np.intp)
-    overlap = gt_overlaps(scene) > iou_threshold
     ij = pair_index(pairs)
     trip = np.array(scene.gt_triplets, dtype=np.intp)  # rows (sub, pred, obj)
     hit = overlap[ij[:, :1], trip[:, 0]] & overlap[ij[:, 1:], trip[:, 2]]
@@ -104,10 +90,11 @@ def srf_training_labels(scene: SceneRecord, iou_threshold: float = 0.5,
                         ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Label every ordered proposal pair 1 iff it localizes some gt triplet."""
     pairs = ordered_pairs(scene.n_proposals)
-    return pairs, (matched_triplets(scene, pairs, iou_threshold) >= 0).astype(np.float64)
+    overlap = gt_overlaps(scene) > iou_threshold
+    return pairs, (matched_triplets(scene, pairs, overlap) >= 0).astype(np.float64)
 
 
-def srf_loss(inputs: np.ndarray, labels: np.ndarray, params: SrfParams) -> Tensor:
+def srf_loss(inputs: np.ndarray, labels: np.ndarray, params: TwoLayerMlp) -> Tensor:
     return binary_logistic_loss(pair_logits(inputs, params), labels)
 
 

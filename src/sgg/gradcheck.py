@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import (Tensor, add, add_bias, binary_logistic_loss, concat_cols, conv2d,
                        cross_entropy_with_softmax, finite_difference_check,
                        finite_difference_check_params, flatten, flatten_rows, gather_rows,
-                       matmul, maxpool2d, message_mean, relu, segment_mean, sigmoid, softmax)
+                       matmul, maxpool2d, message_mean, relu, segment_mean, softmax)
 from .config import Dims, ModelConfig
 from .model import init_model_params
 from .scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet
@@ -66,7 +66,6 @@ def check_all_ops(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     check("concat_cols", lambda x: concat_cols([c32, x]), rng.normal(size=(3, 4)))
 
     check("relu", relu, _away_from_zero(rng, (3, 4)))
-    check("sigmoid", sigmoid, rng.normal(size=(3, 4)))
     check("gather_rows", lambda x: gather_rows(x, [0, 2, 2, 1, 0]),
           rng.normal(size=(4, 3)))
     check("segment_mean", lambda x: segment_mean(x, [0, 0, 2, 2, 2], 4),

@@ -18,19 +18,16 @@ import numpy as np
 
 from .autodiff import Tensor, concat_cols, gather_rows, glorot_uniform, matmul
 from .config import Dims, ModelConfig
-from .nn import Affine, TwoLayerMlp, make_affine, make_mlp
+from .nn import Affine, ParamGroup, TwoLayerMlp, make_affine, make_mlp
 from .scenes import Box, pair_index
 
 
 @dataclass
-class HeadParams:
+class HeadParams(ParamGroup):
     obj_cls: Affine          # d_obj -> n_classes
     sub_emb: Tensor          # (n_classes, d_pe)
     obj_emb: Tensor          # (n_classes, d_pe)
     rel_cls: TwoLayerMlp     # (2*d_pe + d_rel | d_rel) -> n_predicates + 1
-
-    def tensors(self) -> list[Tensor]:
-        return self.obj_cls.tensors() + [self.sub_emb, self.obj_emb] + self.rel_cls.tensors()
 
     def named(self, prefix: str = "head") -> dict[str, Tensor]:
         out = self.obj_cls.named(f"{prefix}.obj_cls")

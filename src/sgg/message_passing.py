@@ -33,21 +33,17 @@ import numpy as np
 from .autodiff import Tensor, add, concat_cols, gather_rows, matmul, message_mean, relu, \
     segment_mean
 from .config import Dims, ModelConfig
-from .nn import TwoLayerMlp, make_mlp
+from .nn import ParamGroup, TwoLayerMlp, make_mlp
 
 
 @dataclass
-class TtstParams:
+class TtstParams(ParamGroup):
     """One transformation MLP per message direction."""
 
     obj_to_obj: TwoLayerMlp
     rel_to_obj: TwoLayerMlp
     obj_to_rel: TwoLayerMlp
     rel_to_rel: TwoLayerMlp
-
-    def tensors(self) -> list[Tensor]:
-        return (self.obj_to_obj.tensors() + self.rel_to_obj.tensors()
-                + self.obj_to_rel.tensors() + self.rel_to_rel.tensors())
 
     def named(self, prefix: str = "mp") -> dict[str, Tensor]:
         out = self.obj_to_obj.named(f"{prefix}.oo")
@@ -194,9 +190,6 @@ class BaselineParams:
     """Single square transform shared by every message, uniform attention."""
 
     w: Tensor  # (d_obj, d_obj)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w]
 
 
 def init_baseline_params(dims: Dims, rng: np.random.Generator) -> BaselineParams:

@@ -26,12 +26,12 @@ import numpy as np
 
 from .autodiff import Tensor, softmax
 from .config import ModelConfig
-from .filter import SrfParams, confidence_fallback, ordered_pairs, pair_inputs, prune_graph, \
-    score_pairs
+from .filter import confidence_fallback, ordered_pairs, pair_inputs, prune_graph, score_pairs
 from .inference import HeadParams, PredictedGraph, init_head_params, object_logits, \
     relation_logits, score_triplets
 from .message_passing import TtstParams, build_message_graph, init_ttst_params, \
     run_message_passing
+from .nn import TwoLayerMlp
 from .relation_features import RelFeatParams, init_relfeat_params, pair_geometry, \
     relation_features
 from .scenes import EmbeddingTable, SceneRecord, one_hot
@@ -46,28 +46,22 @@ class ModelParams:
     ttst: TtstParams
     head: HeadParams
     embed: EmbeddingTable
-    srf: SrfParams | None = None
+    srf: TwoLayerMlp | None = None
 
     def trainable(self) -> list[Tensor]:
         """Main-stage parameters; the relation filter stays frozen here."""
         return self.relfeat.tensors() + self.ttst.tensors() + self.head.tensors()
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        out = self.relfeat.named("relfeat")
-        out.update(self.ttst.named("mp"))
-        out.update(self.head.named("head"))
-        if self.srf is not None:
-            out.update(self.srf.named("srf"))
-        return out
-
     def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: t.data for name, t in self.named_tensors().items()}
+        groups = {"relfeat": self.relfeat, "mp": self.ttst, "head": self.head, "srf": self.srf}
+        out = {name: t.data for prefix, group in groups.items() if group is not None
+               for name, t in group.named(prefix).items()}
         out["embed.table"] = self.embed.matrix
         return out
 
 
 def init_model_params(config: ModelConfig, seed: int,
-                      srf: SrfParams | None = None,
+                      srf: TwoLayerMlp | None = None,
                       embed: EmbeddingTable | None = None) -> ModelParams:
     """Seeded initialization; draw order is fixed so identical seeds give
     identical parameters."""

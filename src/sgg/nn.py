@@ -1,4 +1,4 @@
-"""Affine layers and two-layer MLPs built on the autodiff engine."""
+"""Parameter groups, affine layers and two-layer MLPs on the autodiff engine."""
 
 from __future__ import annotations
 
@@ -9,8 +9,19 @@ import numpy as np
 from .autodiff import Tensor, add_bias, glorot_uniform, matmul, relu, zeros_param
 
 
+class ParamGroup:
+    """Parameter tensors listed once, by name, in ``named``; training and
+    checkpoints both read that one enumeration."""
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        raise NotImplementedError
+
+    def tensors(self) -> list[Tensor]:
+        return list(self.named("").values())
+
+
 @dataclass
-class Affine:
+class Affine(ParamGroup):
     """y = x @ w + b for each row of a matrix."""
 
     w: Tensor  # (d_in, d_out)
@@ -18,9 +29,6 @@ class Affine:
 
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(matmul(x, self.w), self.b)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {prefix + ".w": self.w, prefix + ".b": self.b}
@@ -31,7 +39,7 @@ def make_affine(rng: np.random.Generator, d_in: int, d_out: int) -> Affine:
 
 
 @dataclass
-class TwoLayerMlp:
+class TwoLayerMlp(ParamGroup):
     """Two affine layers with a ReLU between; optionally ReLU on the output."""
 
     l1: Affine
@@ -42,9 +50,6 @@ class TwoLayerMlp:
         h = relu(self.l1(x))
         out = self.l2(h)
         return relu(out) if self.relu_out else out
-
-    def tensors(self) -> list[Tensor]:
-        return self.l1.tensors() + self.l2.tensors()
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out = self.l1.named(prefix + ".l1")

@@ -23,20 +23,17 @@ import numpy as np
 from .autodiff import Tensor, concat_cols, conv2d, flatten_rows, glorot_uniform, maxpool2d, \
     relu, zeros_param
 from .config import Dims
-from .nn import Affine, make_affine
+from .nn import Affine, ParamGroup, make_affine
 from .scenes import SceneRecord, pair_index, union_frame
 
 
 @dataclass
-class RelFeatParams:
+class RelFeatParams(ParamGroup):
     conv1_w: Tensor  # (c1, 2, 5, 5)
     conv1_b: Tensor
     conv2_w: Tensor  # (c2, c1, 3, 3)
     conv2_b: Tensor
     fuse: Affine     # (d_union + spatial_len) -> d_rel
-
-    def tensors(self) -> list[Tensor]:
-        return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b] + self.fuse.tensors()
 
     def named(self, prefix: str = "relfeat") -> dict[str, Tensor]:
         out = {f"{prefix}.conv1.w": self.conv1_w, f"{prefix}.conv1.b": self.conv1_b,

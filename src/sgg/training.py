@@ -1,13 +1,15 @@
 """Stage-wise training: the relation filter first, then the full model.
 
-Both stages run SGD with momentum on one scene per step.  Object targets
+Both stages run one loop, ``_fit``: SGD with momentum, one scene per step.
+A stage hands it one step per scene, made of the scene's positive rows and
+a loss of chosen rows; each epoch, ``_fit`` adds to the positives at most
+``negative_ratio`` times as many negatives, drawn at random.  Object targets
 come from IoU matching against gt boxes (best match above the threshold,
 else background); pairs matching a gt triplet at both ends take its
-predicate as target and the rest are trained toward no-relation, with
-negatives subsampled to at most ``negative_ratio`` times the positives per
-scene.  The main stage supervises every ordered pair, not only the ones the
-(frozen) relation filter would retain, so the classifier stays calibrated
-on whatever graph the filter or the confidence fallback keeps at inference;
+predicate as target and the rest are trained toward no-relation.  The main
+stage supervises every ordered pair, not only the ones the (frozen)
+relation filter would retain, so the classifier stays calibrated on
+whatever graph the filter or the confidence fallback keeps at inference;
 each scene's pair set is fixed, so its ``model.scene_inputs`` are built once
 and every step runs ``model.forward``, the same pass inference runs.
 """
@@ -15,15 +17,17 @@ and every step runs ``model.forward``, the same pass inference runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .autodiff import SgdMomentum, Tensor, add, backward, cross_entropy_with_softmax, \
     gather_rows
 from .config import Dims, ModelConfig
-from .filter import SrfParams, gt_overlaps, init_srf_params, matched_triplets, ordered_pairs, \
-    pair_inputs, srf_loss, srf_training_labels
+from .filter import gt_overlaps, init_srf_params, matched_triplets, ordered_pairs, pair_inputs, \
+    srf_loss, srf_training_labels
 from .model import ModelParams, SceneInputs, forward, init_model_params, scene_inputs
+from .nn import TwoLayerMlp
 from .scenes import EmbeddingTable, SceneRecord
 
 # Unused here: perfbench/tracer.py wraps these names in this module, so they must resolve.
@@ -63,53 +67,35 @@ DIVERGENCE_FACTOR = 1e3
 
 
 # ---------------------------------------------------------------------------
-# stage 1: relation filter
+# the SGD loop both stages run
 
 
-def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
-              tcfg: TrainConfig) -> tuple[SrfParams, list[float]]:
-    """Fit the pair filter with balanced logistic loss; returns loss history."""
-    cache = []
-    total_pos = 0
-    for scene in scenes:
-        pairs, labels = srf_training_labels(scene, tcfg.match_iou)
-        if not pairs:
-            continue
-        inputs = pair_inputs(scene, embed, pairs)
-        pos = np.flatnonzero(labels == 1.0)
-        neg = np.flatnonzero(labels == 0.0)
-        total_pos += pos.size
-        cache.append((scene.id, inputs, labels, pos, neg))
-    if total_pos == 0:
-        raise ValueError("relation filter training found no positive pairs in the corpus")
+def _fit(stage: str, tensors: list[Tensor], steps: list[tuple], tcfg: TrainConfig,
+         stream: int) -> list[float]:
+    """Run ``tcfg.epochs`` epochs over ``steps``; returns per-epoch mean losses.
 
-    params = init_srf_params(dims, np.random.default_rng([tcfg.seed, 2]))
-    opt = SgdMomentum(params.tensors(), lr=tcfg.lr, momentum=tcfg.momentum)
+    A step is (idx, scene id, bool mask of the positive rows, loss of chosen
+    rows); ``idx`` seeds its negative draws, with ``stream`` and the epoch."""
+    opt = SgdMomentum(tensors, lr=tcfg.lr, momentum=tcfg.momentum)
     history, first = [], None
     for epoch in range(1, tcfg.epochs + 1):
         opt.set_epoch(epoch)
-        total, steps = 0.0, 0
-        for idx, (scene_id, inputs, labels, pos, neg) in enumerate(cache):
-            if pos.size == 0:
-                continue
-            rng = np.random.default_rng([tcfg.seed, 3, epoch, idx])
+        total = 0.0
+        for idx, scene_id, positive, rows_loss in steps:
+            rng = np.random.default_rng([tcfg.seed, stream, epoch, idx])
+            pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
             take = int(min(neg.size, tcfg.negative_ratio * pos.size))
-            sel = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
+            rows = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
                 if take else pos
             with np.errstate(**_QUIET):
-                loss = srf_loss(inputs[sel], labels[sel], params)
+                loss = rows_loss(rows)
                 value = _finite(loss, epoch, scene_id)
                 backward(loss)
                 opt.step()
             first = value if first is None else first
             total += value
-            steps += 1
-        history.append(_converging("relation filter", epoch, total / steps, first))
-    return params, history
-
-
-# ---------------------------------------------------------------------------
-# stage 2: full model
+        history.append(_converging(stage, epoch, total / len(steps), first))
+    return history
 
 
 def _finite(loss: Tensor, epoch: int, scene_id: str) -> float:
@@ -132,22 +118,49 @@ def _converging(stage: str, epoch: int, mean: float, first: float) -> float:
     return mean
 
 
-def _object_targets(scene: SceneRecord, n_classes: int, match_iou: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# stage 1: relation filter
+
+
+def train_srf(scenes: list[SceneRecord], embed: EmbeddingTable, dims: Dims,
+              tcfg: TrainConfig) -> tuple[TwoLayerMlp, list[float]]:
+    """Fit the pair filter with balanced logistic loss; returns loss history.
+
+    A step's ``idx`` counts the scenes with pairs; only those with a positive
+    pair take a step."""
+    params = init_srf_params(dims, np.random.default_rng([tcfg.seed, 2]))
+    labeled = [(scene, *srf_training_labels(scene, tcfg.match_iou)) for scene in scenes]
+    steps = []
+    for idx, (scene, pairs, labels) in enumerate(item for item in labeled if item[1]):
+        inputs = pair_inputs(scene, embed, pairs)
+        if labels.any():
+            steps.append((idx, scene.id, labels == 1.0, lambda rows, x=inputs, y=labels:
+                          srf_loss(x[rows], y[rows], params)))
+    if not steps:
+        raise ValueError("relation filter training found no positive pairs in the corpus")
+    return params, _fit("relation filter", params.tensors(), steps, tcfg, stream=3)
+
+
+# ---------------------------------------------------------------------------
+# stage 2: full model
+
+
+def _object_targets(scene: SceneRecord, ious: np.ndarray, n_classes: int,
+                    match_iou: float) -> np.ndarray:
     """Best-overlap gt class above the threshold, else background (exact ties
     keep the lowest gt index, which ``argmax`` returns first)."""
     scene.check_gt_classes(n_classes)
     if not scene.gt_objects:
         return np.zeros(scene.n_proposals, dtype=np.intp)
-    ious = gt_overlaps(scene)
     best = ious.argmax(axis=1)
     classes = np.array([g.cls for g in scene.gt_objects], dtype=np.intp)
     return np.where(ious[np.arange(scene.n_proposals), best] > match_iou, classes[best], 0)
 
 
-def _relation_targets(scene: SceneRecord, edges, dims: Dims,
-                      match_iou: float) -> np.ndarray:
+def _relation_targets(scene: SceneRecord, edges, overlap: np.ndarray,
+                      dims: Dims) -> np.ndarray:
     """The predicate of the first gt triplet each edge localizes, else no-relation."""
-    match = matched_triplets(scene, edges, match_iou)
+    match = matched_triplets(scene, edges, overlap)
     # index -1 (no match) picks the no-relation entry appended last
     targets = np.array([t.pred for t in scene.gt_triplets] + [dims.no_relation],
                        dtype=np.intp)[match]
@@ -163,8 +176,9 @@ def prepare_scene(scene: SceneRecord, params: ModelParams, config: ModelConfig,
     if scene.n_proposals == 0:
         return None
     inputs = scene_inputs(scene, params, config, ordered_pairs(scene.n_proposals))
-    inputs.rel_targets = _relation_targets(scene, inputs.edges, config.dims, match_iou)
-    inputs.obj_targets = _object_targets(scene, config.dims.n_classes, match_iou)
+    ious = gt_overlaps(scene)
+    inputs.rel_targets = _relation_targets(scene, inputs.edges, ious > match_iou, config.dims)
+    inputs.obj_targets = _object_targets(scene, ious, config.dims.n_classes, match_iou)
     return inputs
 
 
@@ -180,7 +194,7 @@ def scene_loss(prep: SceneInputs, params: ModelParams, config: ModelConfig,
 
 
 def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig,
-               srf: SrfParams | None = None, embed: EmbeddingTable | None = None,
+               srf: TwoLayerMlp | None = None, embed: EmbeddingTable | None = None,
                ) -> tuple[ModelParams, list[float]]:
     """Train everything except the (frozen) relation filter; returns per-epoch
     mean losses."""
@@ -193,25 +207,6 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
         raise ValueError("no trainable scenes (all empty)")
     if not any(p.edges for p in prepared):
         raise ValueError("the filter retained no pairs in any scene; nothing to train on")
-
-    opt = SgdMomentum(params.trainable(), lr=tcfg.lr, momentum=tcfg.momentum)
-    history, first = [], None
-    for epoch in range(1, tcfg.epochs + 1):
-        opt.set_epoch(epoch)
-        total = 0.0
-        for idx, prep in enumerate(prepared):
-            rng = np.random.default_rng([tcfg.seed, 4, epoch, idx])
-            related = prep.rel_targets != config.dims.no_relation
-            pos, neg = np.flatnonzero(related), np.flatnonzero(~related)
-            take = int(min(neg.size, tcfg.negative_ratio * pos.size))
-            rows = np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
-                if take else pos
-            with np.errstate(**_QUIET):
-                loss = scene_loss(prep, params, config, rows)
-                value = _finite(loss, epoch, prep.scene.id)
-                backward(loss)
-                opt.step()
-            first = value if first is None else first
-            total += value
-        history.append(_converging("main model", epoch, total / len(prepared), first))
-    return params, history
+    steps = [(idx, prep.scene.id, prep.rel_targets != config.dims.no_relation,
+              partial(scene_loss, prep, params, config)) for idx, prep in enumerate(prepared)]
+    return params, _fit("main model", params.trainable(), steps, tcfg, stream=4)

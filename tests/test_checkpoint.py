@@ -1,5 +1,7 @@
 """Text checkpoint container and the model/filter round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,37 @@ def test_srf_checkpoint_rejects_plain_params_file(tmp_path):
     save_params(path, {"w": np.zeros(3)})
     with pytest.raises(ValueError, match="missing"):
         load_srf_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: names, their order and the number format of written files
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_filter_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "f.ckpt"
+    save_srf_checkpoint(path, init_srf_params(DIMS, np.random.default_rng(11)),
+                        EmbeddingTable.seeded(DIMS.n_classes, DIMS.d_emb, seed=4), DIMS)
+    assert _sha256(path) == "c37ec7e43b982c33d43c8c6de1236a7e3d73d85d497ff083a6ba0c58a8f2fa27"
+
+
+@pytest.mark.parametrize("with_srf,sha256", [
+    (True, "0574d40f04c5a71f7efd603b002b1debf8bb7930f16a95cfd4da37657aa4570f"),
+    (False, "9f9e556c8c2e9f518cd63573ec0e32a340e49e72835e373f8b194c15ef80f82b"),
+], ids=["filter", "no-filter"])
+def test_model_checkpoint_bytes_are_pinned(tmp_path, with_srf, sha256):
+    if with_srf:
+        config = ModelConfig(dims=DIMS, iterations=2, use_srf=True)
+        params = init_model_params(
+            config, seed=7, srf=init_srf_params(DIMS, np.random.default_rng(11)),
+            embed=EmbeddingTable.seeded(DIMS.n_classes, DIMS.d_emb, seed=4))
+    else:
+        config = ModelConfig(dims=DIMS, iterations=1, use_srf=False, use_language=False,
+                             use_prede=False, directions=frozenset({"oo", "rr"}))
+        params = init_model_params(config, seed=7)
+    path = tmp_path / "m.ckpt"
+    save_model(path, params, config)
+    assert _sha256(path) == sha256

@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from sgg.checkpoint import load_params, save_model, save_params
+from sgg.checkpoint import load_params, save_model, save_params, save_srf_checkpoint
 from sgg.cli import format_directions, parse_directions, run
 from sgg.config import Dims, ModelConfig
+from sgg.filter import init_srf_params
 from sgg.model import init_model_params
-from sgg.scenes import load_scenes
+from sgg.scenes import EmbeddingTable, load_scenes
 
 GEN_CFG = """\
 # tiny corpus for fast end-to-end runs
@@ -398,6 +399,33 @@ def test_eval_gt_class_out_of_range_names_the_scene(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scene_id}: gt object class 9 out of range for 4 "
                           f"classes"), err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_and_predict_take_no_config_or_seed(tmp_path, capsys, command):
+    """Neither reads settings or draws anything, so both flags are usage errors."""
+    data = gen_corpus(tmp_path)
+    model = _checkpoint_with(tmp_path / "m.ckpt", "meta.dims", lambda v: v)
+    for flag in (["--config", str(tmp_path / "none.cfg")], ["--seed", "9"]):
+        capsys.readouterr()
+        assert run([command, "--data", data, "--model", model, "--out",
+                    str(tmp_path / "out"), *flag]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err, err
+
+
+@pytest.mark.parametrize("key,value", [("n_classes", 6), ("d_emb", 5)])
+def test_train_settings_against_the_filter_dims_exit_1(tmp_path, capsys, key, value):
+    data = gen_corpus(tmp_path)
+    dims = Dims(n_classes=4, n_predicates=3, d_emb=4)
+    srf = str(tmp_path / "filter.ckpt")
+    save_srf_checkpoint(srf, init_srf_params(dims, np.random.default_rng(0)),
+                        EmbeddingTable.seeded(4, 4, 0), dims)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--srf-model", srf, "--out", str(tmp_path / "m.ckpt"),
+                "--config", write(tmp_path / "t.cfg", f"{key} = {value}\n")]) == 1
+    assert capsys.readouterr().err == (f"error: {srf}: the filter has {key} = "
+                                       f"{getattr(dims, key)}, the settings ask for {value}\n")
 
 
 # ---------------------------------------------------------------------------

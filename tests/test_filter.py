@@ -34,7 +34,7 @@ def test_zero_weight_filter_scores_half():
     scene = tiny_scene()
     embed = EmbeddingTable.seeded(4, 6, seed=0)
     params = init_srf_params(DIMS, np.random.default_rng(0))
-    for t in params.mlp.tensors():
+    for t in params.tensors():
         t.data[...] = 0.0
     pairs = ordered_pairs(3)
     scores = score_pairs(pair_inputs(scene, embed, pairs), params)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from sgg.autodiff import SgdMomentum, backward
 from sgg.config import Dims, ModelConfig
-from sgg.filter import pair_inputs, score_pairs
+from sgg.filter import init_srf_params, pair_inputs, score_pairs, srf_loss, srf_training_labels
 from sgg.model import init_model_params
 from sgg.scenes import Box, EmbeddingTable, GtObject, ObjectProposal, SceneRecord, Triplet
 from sgg.synthetic import SynthConfig, generate_dataset
-from sgg.training import TrainConfig, prepare_scene, train_main, train_srf
+from sgg.training import TrainConfig, prepare_scene, scene_loss, train_main, train_srf
 
 DIMS = Dims(n_classes=3, n_predicates=2, d_obj=4, d_emb=4, d_union=6, d_rel=6,
             d_pe=4, mask_res=12, conv1_channels=2, conv2_channels=2)
@@ -135,6 +136,101 @@ def test_main_rejects_empty_corpus():
                         gt_objects=(), gt_triplets=())
     with pytest.raises(ValueError, match="no trainable scenes"):
         train_main([empty], synth_model_config(), TrainConfig(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# both stages against their former loops
+
+
+def _negatives(rng, positive, ratio):
+    pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
+    take = int(min(neg.size, ratio * pos.size))
+    return np.concatenate([pos, np.sort(rng.choice(neg, size=take, replace=False))]) \
+        if take else pos
+
+
+def oracle_train_srf(scenes, embed, dims, tcfg):
+    """The filter stage's own epoch loop, as it was before the stages shared one."""
+    cache = []
+    for scene in scenes:
+        pairs, labels = srf_training_labels(scene, tcfg.match_iou)
+        if pairs:
+            cache.append((pair_inputs(scene, embed, pairs), labels))
+    params = init_srf_params(dims, np.random.default_rng([tcfg.seed, 2]))
+    opt = SgdMomentum(params.tensors(), lr=tcfg.lr, momentum=tcfg.momentum)
+    history = []
+    for epoch in range(1, tcfg.epochs + 1):
+        opt.set_epoch(epoch)
+        total, steps = 0.0, 0
+        for idx, (inputs, labels) in enumerate(cache):
+            if not labels.any():
+                continue
+            rng = np.random.default_rng([tcfg.seed, 3, epoch, idx])
+            sel = _negatives(rng, labels == 1.0, tcfg.negative_ratio)
+            loss = srf_loss(inputs[sel], labels[sel], params)
+            total += loss.item()
+            steps += 1
+            backward(loss)
+            opt.step()
+        history.append(total / steps)
+    return params, history
+
+
+def oracle_train_main(scenes, config, tcfg, srf, embed):
+    """The main stage's own epoch loop, as it was before the stages shared one."""
+    params = init_model_params(config, tcfg.seed, srf=srf, embed=embed)
+    prepared = [p for p in (prepare_scene(s, params, config, tcfg.match_iou)
+                            for s in scenes) if p is not None]
+    opt = SgdMomentum(params.trainable(), lr=tcfg.lr, momentum=tcfg.momentum)
+    history = []
+    for epoch in range(1, tcfg.epochs + 1):
+        opt.set_epoch(epoch)
+        total = 0.0
+        for idx, prep in enumerate(prepared):
+            rng = np.random.default_rng([tcfg.seed, 4, epoch, idx])
+            rows = _negatives(rng, prep.rel_targets != config.dims.no_relation,
+                              tcfg.negative_ratio)
+            loss = scene_loss(prep, params, config, rows)
+            total += loss.item()
+            backward(loss)
+            opt.step()
+        history.append(total / len(prepared))
+    return params, history
+
+
+def mixed_corpus():
+    """Ordinary scenes around a 1-proposal scene (no pairs) and a scene whose
+    pairs are all negatives, so a miscounted step index shifts later draws."""
+    scenes = synth_scenes()
+    s = scenes[0]
+    one = SceneRecord(id="one", image_size=s.image_size, proposals=s.proposals[:1],
+                      gt_objects=s.gt_objects, gt_triplets=s.gt_triplets)
+    bare = SceneRecord(id="bare", image_size=s.image_size, proposals=s.proposals,
+                       gt_objects=s.gt_objects, gt_triplets=())
+    return [scenes[1], one, scenes[2], bare, *scenes[3:]]
+
+
+def test_both_stages_match_their_former_loops_bit_for_bit():
+    scenes = mixed_corpus()
+    dims = synth_model_config().dims
+    embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, seed=2)
+    # positives outnumber negatives here; a low ratio leaves some undrawn, so
+    # every draw depends on its seed
+    tcfg = TrainConfig(epochs=3, lr=0.02, seed=6, negative_ratio=0.25)
+    srf, history = train_srf(scenes, embed, dims, tcfg)
+    srf_ref, history_ref = oracle_train_srf(scenes, embed, dims, tcfg)
+    assert history == history_ref
+    for t, t_ref in zip(srf.tensors(), srf_ref.tensors(), strict=True):
+        np.testing.assert_array_equal(t.data, t_ref.data)
+
+    config = ModelConfig(dims=dims, iterations=1, use_srf=True)
+    params, history = train_main(scenes, config, tcfg, srf=srf, embed=embed)
+    ref, history_ref = oracle_train_main(scenes, config, tcfg, srf, embed)
+    assert history == history_ref
+    arrays, arrays_ref = params.named_arrays(), ref.named_arrays()
+    assert list(arrays) == list(arrays_ref)
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(arr, arrays_ref[name], err_msg=name)
 
 
 # ---------------------------------------------------------------------------
