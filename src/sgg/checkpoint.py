@@ -7,15 +7,16 @@ Format (whitespace-delimited, one header line):
     <row-major values, shortest round-trip float repr, 8 per line>
     param <next-name> ...
 
-A scalar entry has no dims and exactly one value.  Values are written with
-``repr`` so loading reproduces every float bit-exactly.  Model checkpoints
-additionally carry two ``meta.*`` vectors encoding the dimension and
-behavior configuration, and ``embed.table`` holds the class-embedding rows.
+A scalar entry has no dims and one value; ``repr`` loads every float back
+bit-exactly.  Parameter names are ``ParamGroup.named``'s, plus ``embed.table``;
+``meta.dims`` / ``meta.flags`` hold the ``Dims`` / ``ModelConfig`` fields in
+field order, each by its annotation (bool 0/1, directions one slot each).
 """
 
 from __future__ import annotations
 
-from functools import partial
+import dataclasses
+import math
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def load_params(path) -> dict[str, np.ndarray]:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{path}: line {ln}: bad dimension in '{lines[ln - 1]}'") from None
-        need = int(np.prod(shape)) if shape else 1
+        need = math.prod(shape)
         vals: list[float] = []
         while len(vals) < need and ln < len(lines):
             for tok in lines[ln].split():
@@ -87,51 +88,52 @@ def load_params(path) -> dict[str, np.ndarray]:
 # model and filter checkpoints
 
 
-def _dims_vector(d: Dims) -> np.ndarray:
-    return np.array([d.n_classes, d.n_predicates, d.d_obj, d.d_emb, d.d_union, d.d_rel,
-                     d.d_pe, d.mask_res, d.conv1_channels, d.conv2_channels], dtype=float)
+# meta.* slots per field annotation; a nested config has a vector of its own
+_SLOTS = {"int": 1, "bool": 1, "float": 1, "frozenset": len(ALL_DIRECTIONS)}
 
 
-def _from_meta(arrays, key: str, size: int, path, build):
-    """``build`` applied to the stored ``meta.*`` vector ``key``; its errors
+def _meta_vector(config) -> np.ndarray:
+    """A config's fields as floats in field order: a number as it is, a bool as
+    0/1, the directions as one 0/1 slot per ``ALL_DIRECTIONS`` entry."""
+    out = []
+    for f in dataclasses.fields(config):
+        if f.type == "frozenset":
+            out += [d in getattr(config, f.name) for d in ALL_DIRECTIONS]
+        elif f.type in _SLOTS:
+            out.append(getattr(config, f.name))
+    return np.array(out, dtype=float)
+
+
+def _from_meta_vector(cls, v: list[float], **given):
+    """``cls`` from a ``_meta_vector`` (ints rounded, bools > 0.5) and ``given``."""
+    values, at = {}, 0
+    for f in dataclasses.fields(cls):
+        if f.type == "frozenset":
+            values[f.name] = frozenset(d for d, on in zip(ALL_DIRECTIONS, v[at:]) if on > 0.5)
+        elif f.type in _SLOTS:
+            values[f.name] = {"int": round(v[at]), "bool": v[at] > 0.5, "float": v[at]}[f.type]
+        at += _SLOTS.get(f.type, 0)
+    return cls(**given, **values)
+
+
+def _from_meta(arrays, key: str, path, cls, **given):
+    """``cls`` rebuilt from the stored ``meta.*`` vector ``key``; its errors
     name the file and the key."""
     if key not in arrays:
         raise ValueError(f"{path}: checkpoint is missing '{key}'")
     v = arrays[key]
+    size = sum(_SLOTS.get(f.type, 0) for f in dataclasses.fields(cls))
     if v.shape != (size,):
         raise ValueError(f"{path}: '{key}' has shape {v.shape}, expected ({size},)")
     try:
-        return build([float(x) for x in v])
+        return _from_meta_vector(cls, [float(x) for x in v], **given)
     except ValueError as e:
         raise ValueError(f"{path}: '{key}': {e}") from None
 
 
-def _dims_from_vector(v: list[float]) -> Dims:
-    f = [int(round(x)) for x in v]
-    return Dims(n_classes=f[0], n_predicates=f[1], d_obj=f[2], d_emb=f[3], d_union=f[4],
-                d_rel=f[5], d_pe=f[6], mask_res=f[7], conv1_channels=f[8],
-                conv2_channels=f[9])
-
-
-def _flags_vector(c: ModelConfig) -> np.ndarray:
-    dirs = [1.0 if d in c.directions else 0.0 for d in ALL_DIRECTIONS]
-    return np.array([c.iterations, *dirs, float(c.use_language), float(c.use_prede),
-                     float(c.use_srf), c.srf_top_k, c.srf_threshold,
-                     float(c.srf_in_predcls)])
-
-
-def _config_from_flags(dims: Dims, flags: list[float]) -> ModelConfig:
-    dirs = frozenset(d for d, on in zip(ALL_DIRECTIONS, flags[1:5]) if on > 0.5)
-    return ModelConfig(dims=dims, iterations=int(round(flags[0])),
-                       directions=dirs, use_language=flags[5] > 0.5,
-                       use_prede=flags[6] > 0.5, use_srf=flags[7] > 0.5,
-                       srf_top_k=int(round(flags[8])), srf_threshold=flags[9],
-                       srf_in_predcls=flags[10] > 0.5)
-
-
 def save_model(path, params: ModelParams, config: ModelConfig) -> None:
-    save_params(path, {"meta.dims": _dims_vector(config.dims),
-                       "meta.flags": _flags_vector(config), **params.named_arrays()})
+    save_params(path, {"meta.dims": _meta_vector(config.dims),
+                       "meta.flags": _meta_vector(config), **params.named_arrays()})
 
 
 def _fill(named_arrays, arrays, path) -> None:
@@ -147,8 +149,8 @@ def _fill(named_arrays, arrays, path) -> None:
 
 def load_model(path) -> tuple[ModelParams, ModelConfig]:
     arrays = load_params(path)
-    dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
-    config = _from_meta(arrays, "meta.flags", 11, path, partial(_config_from_flags, dims))
+    dims = _from_meta(arrays, "meta.dims", path, Dims)
+    config = _from_meta(arrays, "meta.flags", path, ModelConfig, dims=dims)
     srf = init_srf_params(dims, np.random.default_rng(0)) if "srf.l1.w" in arrays else None
     params = init_model_params(config, seed=0, srf=srf)
     _fill(params.named_arrays(), arrays, path)
@@ -162,12 +164,12 @@ def _srf_arrays(srf: TwoLayerMlp, embed: EmbeddingTable) -> dict[str, np.ndarray
 
 
 def save_srf_checkpoint(path, srf: TwoLayerMlp, embed: EmbeddingTable, dims: Dims) -> None:
-    save_params(path, {"meta.dims": _dims_vector(dims), **_srf_arrays(srf, embed)})
+    save_params(path, {"meta.dims": _meta_vector(dims), **_srf_arrays(srf, embed)})
 
 
 def load_srf_checkpoint(path) -> tuple[TwoLayerMlp, EmbeddingTable, Dims]:
     arrays = load_params(path)
-    dims = _from_meta(arrays, "meta.dims", 10, path, _dims_from_vector)
+    dims = _from_meta(arrays, "meta.dims", path, Dims)
     srf = init_srf_params(dims, np.random.default_rng(0))
     embed = EmbeddingTable.seeded(dims.n_classes, dims.d_emb, 0)
     _fill(_srf_arrays(srf, embed), arrays, path)

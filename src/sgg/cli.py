@@ -263,14 +263,15 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     scenes = load_scenes(args.data)
     params, config = load_model(args.model)
-    if args.iterations is not None:
-        config = dataclasses.replace(config, iterations=args.iterations)
-    if args.directions is not None:
-        config = dataclasses.replace(config, directions=parse_directions(args.directions))
-    if args.no_srf:
-        config = dataclasses.replace(config, use_srf=False)
+    config = dataclasses.replace(
+        config, use_srf=config.use_srf and not args.no_srf,
+        iterations=config.iterations if args.iterations is None else args.iterations,
+        directions=config.directions if args.directions is None
+        else parse_directions(args.directions))
     modes = MODES if args.mode == "all" else (args.mode,)
     ks = _parse_ks(args.k)
     shown = render_settings(config)

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 ALL_DIRECTIONS = ("oo", "ro", "or", "rr")
 
 
 @dataclass(frozen=True)
 class Dims:
-    """Feature sizes for one model instance.
+    """Feature sizes for one model instance.  The field order is the layout of
+    a checkpoint's ``meta.dims``: reordering the fields breaks old checkpoints.
 
     ``n_classes`` counts object classes including background at index 0;
     ``n_predicates`` counts real predicates, so relation logits have
@@ -32,10 +33,9 @@ class Dims:
             raise ValueError("n_classes must count background plus at least one object class")
         if self.n_predicates < 1:
             raise ValueError("n_predicates must be at least 1")
-        for name in ("d_obj", "d_emb", "d_union", "d_rel", "d_pe",
-                     "conv1_channels", "conv2_channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self)[2:]:  # the sizes after the two class counts
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
         if self.mask_res % 2 or self.pooled_res < 3:
             raise ValueError(
                 f"mask_res {self.mask_res} incompatible with the 5x5 conv / 2x2 pool / "
@@ -58,7 +58,8 @@ class Dims:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Behavior switches: pass count, enabled message directions, priors."""
+    """Behavior switches: pass count, enabled message directions, priors.  The
+    field order is the ``meta.flags`` layout: reordering breaks old checkpoints."""
 
     dims: Dims
     iterations: int = 2

@@ -29,13 +29,6 @@ class HeadParams(ParamGroup):
     obj_emb: Tensor          # (n_classes, d_pe)
     rel_cls: TwoLayerMlp     # (2*d_pe + d_rel | d_rel) -> n_predicates + 1
 
-    def named(self, prefix: str = "head") -> dict[str, Tensor]:
-        out = self.obj_cls.named(f"{prefix}.obj_cls")
-        out[f"{prefix}.sub_emb"] = self.sub_emb
-        out[f"{prefix}.obj_emb"] = self.obj_emb
-        out.update(self.rel_cls.named(f"{prefix}.rel_cls"))
-        return out
-
 
 def init_head_params(dims: Dims, rng: np.random.Generator,
                      use_prede: bool = True) -> HeadParams:

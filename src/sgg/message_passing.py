@@ -26,7 +26,7 @@ target-independent messages) is provided for ablation contrasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,17 +40,10 @@ from .nn import ParamGroup, TwoLayerMlp, make_mlp
 class TtstParams(ParamGroup):
     """One transformation MLP per message direction."""
 
-    obj_to_obj: TwoLayerMlp
-    rel_to_obj: TwoLayerMlp
-    obj_to_rel: TwoLayerMlp
-    rel_to_rel: TwoLayerMlp
-
-    def named(self, prefix: str = "mp") -> dict[str, Tensor]:
-        out = self.obj_to_obj.named(f"{prefix}.oo")
-        out.update(self.rel_to_obj.named(f"{prefix}.ro"))
-        out.update(self.obj_to_rel.named(f"{prefix}.or"))
-        out.update(self.rel_to_rel.named(f"{prefix}.rr"))
-        return out
+    obj_to_obj: TwoLayerMlp = field(metadata={"name": "oo"})
+    rel_to_obj: TwoLayerMlp = field(metadata={"name": "ro"})
+    obj_to_rel: TwoLayerMlp = field(metadata={"name": "or"})
+    rel_to_rel: TwoLayerMlp = field(metadata={"name": "rr"})
 
 
 def init_ttst_params(dims: Dims, rng: np.random.Generator,

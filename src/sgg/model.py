@@ -20,7 +20,7 @@ gt classes to the relation head instead of the predicted distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,19 +31,19 @@ from .inference import HeadParams, PredictedGraph, init_head_params, object_logi
     relation_logits, score_triplets
 from .message_passing import TtstParams, build_message_graph, init_ttst_params, \
     run_message_passing
-from .nn import TwoLayerMlp
+from .nn import ParamGroup, TwoLayerMlp
 from .relation_features import RelFeatParams, init_relfeat_params, pair_geometry, \
     relation_features
 from .scenes import EmbeddingTable, SceneRecord, one_hot
 
 
 @dataclass
-class ModelParams:
+class ModelParams(ParamGroup):
     """Every weight group of one model instance; the embedding table and the
     (separately trained) relation filter ride along for checkpointing."""
 
     relfeat: RelFeatParams
-    ttst: TtstParams
+    ttst: TtstParams = field(metadata={"name": "mp"})
     head: HeadParams
     embed: EmbeddingTable
     srf: TwoLayerMlp | None = None
@@ -53,11 +53,8 @@ class ModelParams:
         return self.relfeat.tensors() + self.ttst.tensors() + self.head.tensors()
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        groups = {"relfeat": self.relfeat, "mp": self.ttst, "head": self.head, "srf": self.srf}
-        out = {name: t.data for prefix, group in groups.items() if group is not None
-               for name, t in group.named(prefix).items()}
-        out["embed.table"] = self.embed.matrix
-        return out
+        return {**{name: t.data for name, t in self.named().items()},
+                "embed.table": self.embed.matrix}
 
 
 def init_model_params(config: ModelConfig, seed: int,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,14 +10,25 @@ from .autodiff import Tensor, add_bias, glorot_uniform, matmul, relu, zeros_para
 
 
 class ParamGroup:
-    """Parameter tensors listed once, by name, in ``named``; training and
-    checkpoints both read that one enumeration."""
+    """A dataclass of parameters.  ``named`` walks its fields in order: a
+    ``Tensor`` is one parameter, a ``ParamGroup`` adds its own below the
+    field's name, anything else (a flag, a table, ``None``) is skipped.  A
+    field's ``metadata["name"]`` overrides its name.  Training and checkpoints
+    read this one enumeration; field order is checkpoint order."""
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        raise NotImplementedError
+    def named(self, prefix: str = "") -> dict[str, Tensor]:
+        out = {}
+        for f in fields(self):
+            name = (prefix + "." if prefix else "") + f.metadata.get("name", f.name)
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[name] = value
+            elif isinstance(value, ParamGroup):
+                out.update(value.named(name))
+        return out
 
     def tensors(self) -> list[Tensor]:
-        return list(self.named("").values())
+        return list(self.named().values())
 
 
 @dataclass
@@ -29,9 +40,6 @@ class Affine(ParamGroup):
 
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(matmul(x, self.w), self.b)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {prefix + ".w": self.w, prefix + ".b": self.b}
 
 
 def make_affine(rng: np.random.Generator, d_in: int, d_out: int) -> Affine:
@@ -50,11 +58,6 @@ class TwoLayerMlp(ParamGroup):
         h = relu(self.l1(x))
         out = self.l2(h)
         return relu(out) if self.relu_out else out
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = self.l1.named(prefix + ".l1")
-        out.update(self.l2.named(prefix + ".l2"))
-        return out
 
 
 def make_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int,

@@ -16,7 +16,7 @@ with the conv outputs, not with an im2col matrix of every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,17 +29,11 @@ from .scenes import SceneRecord, pair_index, union_frame
 
 @dataclass
 class RelFeatParams(ParamGroup):
-    conv1_w: Tensor  # (c1, 2, 5, 5)
-    conv1_b: Tensor
-    conv2_w: Tensor  # (c2, c1, 3, 3)
-    conv2_b: Tensor
-    fuse: Affine     # (d_union + spatial_len) -> d_rel
-
-    def named(self, prefix: str = "relfeat") -> dict[str, Tensor]:
-        out = {f"{prefix}.conv1.w": self.conv1_w, f"{prefix}.conv1.b": self.conv1_b,
-               f"{prefix}.conv2.w": self.conv2_w, f"{prefix}.conv2.b": self.conv2_b}
-        out.update(self.fuse.named(f"{prefix}.fuse"))
-        return out
+    conv1_w: Tensor = field(metadata={"name": "conv1.w"})  # (c1, 2, 5, 5)
+    conv1_b: Tensor = field(metadata={"name": "conv1.b"})
+    conv2_w: Tensor = field(metadata={"name": "conv2.w"})  # (c2, c1, 3, 3)
+    conv2_b: Tensor = field(metadata={"name": "conv2.b"})
+    fuse: Affine  # (d_union + spatial_len) -> d_rel
 
 
 def init_relfeat_params(dims: Dims, rng: np.random.Generator) -> RelFeatParams:

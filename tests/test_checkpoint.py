@@ -1,5 +1,6 @@
 """Text checkpoint container and the model/filter round trips."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -83,6 +84,17 @@ def test_load_rejects_non_finite_values(tmp_path):
             load_params(path)
 
 
+@pytest.mark.parametrize("side", [4294967296, 3037000500])
+def test_huge_dims_count_without_wrapping_and_name_the_parameter(tmp_path, side):
+    """side**2 is 2**64 (wraps to 0 in int64) and just above 2**63 (wraps negative)."""
+    path = tmp_path / "huge.ckpt"
+    path.write_text(f"sgg-checkpoint 1\nparam meta.dims {side} {side}\n")
+    with pytest.raises(ValueError) as err:
+        load_params(path)
+    assert str(err.value) == (f"{path}: parameter 'meta.dims' has 0 values, "
+                              f"needs {side * side}")
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_params(tmp_path / "absent.txt")
@@ -161,6 +173,42 @@ def test_load_model_rejects_shape_mismatch(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="shape"):
         load_model(path)
+
+
+def _other_value(f, value):
+    """A valid value of field ``f`` other than ``value``."""
+    if f.type == "bool":
+        return not value
+    if f.type == "frozenset":
+        return frozenset(sorted(value)[1:])  # a strict subset
+    if f.type == "float":
+        return value / 2
+    return value + (2 if f.name == "mask_res" else 1)  # mask_res must stay even
+
+
+META_CASES = [(Dims, f) for f in dataclasses.fields(Dims)] + \
+    [(ModelConfig, f) for f in dataclasses.fields(ModelConfig) if f.type != "Dims"]
+
+
+@pytest.mark.parametrize("cls,field", META_CASES,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in META_CASES])
+def test_every_config_field_survives_a_checkpoint(tmp_path, cls, field):
+    config = ModelConfig(dims=DIMS)
+    if cls is Dims:
+        config = dataclasses.replace(config, dims=dataclasses.replace(
+            DIMS, **{field.name: _other_value(field, getattr(DIMS, field.name))}))
+    else:
+        config = dataclasses.replace(
+            config, **{field.name: _other_value(field, getattr(config, field.name))})
+    srf = init_srf_params(config.dims, np.random.default_rng(5)) if config.use_srf else None
+    path = tmp_path / "model.txt"
+    save_model(path, init_model_params(config, seed=1, srf=srf), config)
+    loaded, lcfg = load_model(path)
+    assert lcfg == config
+    for f in dataclasses.fields(ModelConfig):
+        assert type(getattr(lcfg, f.name)) is type(getattr(config, f.name)), f.name
+    for f in dataclasses.fields(Dims):
+        assert type(getattr(lcfg.dims, f.name)) is int, f.name
 
 
 # ---------------------------------------------------------------------------

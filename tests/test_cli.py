@@ -414,6 +414,20 @@ def test_eval_and_predict_take_no_config_or_seed(tmp_path, capsys, command):
         assert f"unrecognized arguments: {' '.join(flag)}" in err, err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_workers_below_1_is_a_usage_error(tmp_path, capsys, workers):
+    data = gen_corpus(tmp_path)
+    model = _checkpoint_with(tmp_path / "m.ckpt", "meta.dims", lambda v: v)
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert run(["eval", "--data", data, "--model", model, "--out", str(out),
+                "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
+    assert "config workers" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("n_classes", 6), ("d_emb", 5)])
 def test_train_settings_against_the_filter_dims_exit_1(tmp_path, capsys, key, value):
     data = gen_corpus(tmp_path)

@@ -1,14 +1,17 @@
-"""Random settings and damaged checkpoints: a bad input is a ValueError that
-names the key or the file, never another exception.
+"""Random settings, corpus lines and damaged checkpoints: a bad input is a
+ValueError that names the key or the file, never another exception.
 
 The settings fuzz drives each subcommand's settings path (config file ->
 merged settings -> config dataclasses) through ``cli.run`` with the work the
 settings would start (generation, training, saving) replaced by stubs, so
 any value the dataclasses accept costs nothing.  Integer values stay small:
-a valid but huge size would allocate that size.  The checkpoint fuzz edits
-the tokens of small valid checkpoints.
+a valid but huge size would allocate that size.  The corpus fuzz replaces one
+JSON value of a valid corpus and trains both stages on it for real; it checks
+only that a bad corpus exits 1, not what the message names.  The checkpoint
+fuzz edits the tokens of small valid checkpoints.
 """
 
+import json
 import string
 
 import numpy as np
@@ -89,6 +92,60 @@ def test_random_settings_exit_0_or_1_naming_key_or_file(inputs, capsys, command,
     else:
         assert code == 1, err
         assert str(cfg) in err or any(key in err for key, _ in entries), err
+
+
+# tiny sizes and one epoch; the corpus fixes n_classes, n_predicates and d_obj
+TRAIN_TINY = "".join(f"{key} = {value}\n" for key, value in {
+    **{k: v for k, v in cli.render_settings(DIMS).items()
+       if k not in ("n_classes", "n_predicates", "d_obj")},
+    "epochs": 1}.items())
+
+# small values only: a valid but huge class, predicate or size would allocate it
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                    st.floats(-3, 12, allow_nan=False),
+                    st.text(string.ascii_letters + string.digits + ",.-", max_size=3))
+JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=5),
+                        st.dictionaries(st.sampled_from(["sub", "obj", "box", "0,1", "x"]),
+                                        SCALARS, max_size=3))
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    value[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return value
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corpus_with_one_value_replaced_trains_or_exits_1(inputs, capsys, data):
+    root, corpus, _ = inputs
+    with open(corpus) as fh:
+        lines = fh.read().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    record = json.loads(lines[at])
+    path = data.draw(st.sampled_from(list(_json_paths(record))), label="path")
+    lines[at] = json.dumps(_replaced(record, path, data.draw(JSON_VALUES, label="value")))
+    bad = root / "fuzz.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TRAIN_TINY)
+    for command in (["train-srf"], ["train", "--no-srf"]):
+        capsys.readouterr()
+        code = cli.run([*command, "--data", str(bad), "--out", str(root / "fuzz.ckpt"),
+                        "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and err.startswith("error: ")), err
 
 
 @pytest.fixture(scope="module")
