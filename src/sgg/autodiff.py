@@ -13,14 +13,15 @@ reads each channel's instances contiguously.
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
 
-The ops: ``add``, ``add_bias``, ``matmul``, ``concat_cols``, ``relu``,
-``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
-target-tailored message direction: split-first-layer MLP over
-[target; source] rows, then the mean per target), ``conv2d`` (im2col
-over blocks of instances of about ``CONV_BLOCK_BYTES``, one GEMM per block;
-backward recomputes a block's columns instead of storing them, so memory is
-the output plus one block), ``maxpool2d`` (the max of the four stride-2
-views), ``flatten``, ``flatten_rows``, ``softmax``,
+The ops: ``add``, ``add_bias``, ``matmul`` (matrix @ matrix or vector ·
+vector), ``concat_cols``, ``relu``, ``gather_rows``, ``segment_mean``,
+``message_mean`` (one fused target-tailored message direction:
+split-first-layer MLP over [target; source] rows, then the mean per
+target), ``conv2d`` (one GEMM per block of instances of about
+``CONV_BLOCK_BYTES`` over one copy of its sliding-window view; backward
+recomputes a block's columns instead of storing them, so memory is the
+output plus one block), ``maxpool2d`` (the max of the four stride-2 views),
+``flatten`` (the axes from a start axis on), ``softmax``,
 ``cross_entropy_with_softmax`` and ``binary_logistic_loss``.
 """
 
@@ -154,29 +155,20 @@ def add_bias(m: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for 1-D and 2-D operands (no batching)."""
-    an, bn = a.data.ndim, b.data.ndim
-    if an not in (1, 2) or bn not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks {an} and {bn}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    """Product of two matrices, or dot product of two vectors (no batching)."""
+    if a.data.ndim != b.data.ndim or a.data.ndim not in (1, 2) \
+            or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
 
     def back(g):
-        if an == 2 and bn == 2:
+        if a.data.ndim == 2:
             _accumulate(a, g @ b.data.T)
             _accumulate(b, a.data.T @ g)
-        elif an == 1 and bn == 2:
-            _accumulate(a, b.data @ g)
-            _accumulate(b, np.outer(a.data, g))
-        elif an == 2 and bn == 1:
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        else:  # vector dot
+        else:
             _accumulate(a, g * b.data)
             _accumulate(b, g * a.data)
 
-    return Tensor._from_op(out, (a, b), back)
+    return Tensor._from_op(a.data @ b.data, (a, b), back)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -336,19 +328,15 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
 CONV_BLOCK_BYTES = 2 << 20
 
 
-def _columns(xb: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
+def _columns(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """im2col of a block (m, Cin, H, W): (Cin*kh*kw, m*oh*ow), channel-major.
 
     Row (c, p, q) holds the (p, q)-shifted window of channel c for every
-    instance and output cell, so it is filled with kh*kw slice copies.
+    instance and output cell: one copy of the block's sliding-window view.
     """
-    m, cin = xb.shape[:2]
-    cols = np.empty((cin, kh, kw, m, oh, ow))
-    xc = xb.transpose(1, 0, 2, 3)
-    for p in range(kh):
-        for q in range(kw):
-            cols[:, p, q] = xc[:, :, p:p + oh, q:q + ow]
-    return cols.reshape(cin * kh * kw, m * oh * ow)
+    win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        xb.shape[1] * kh * kw, -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -373,7 +361,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     wf = w.data.reshape(cout, -1)
     out = np.empty((cout, n, oh, ow))
     for blk in blocks:
-        cols = _columns(x.data[blk], kh, kw, oh, ow)
+        cols = _columns(x.data[blk], kh, kw)
         out[:, blk] = (wf @ cols).reshape(cout, -1, oh, ow)
     out += b.data[:, None, None, None]
 
@@ -384,7 +372,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gx = np.zeros((cin, n, h, wd)) if x.requires_grad else None
         for blk in blocks:
             gc = gt[:, blk].reshape(cout, -1)
-            gw += gc @ _columns(x.data[blk], kh, kw, oh, ow).T
+            gw += gc @ _columns(x.data[blk], kh, kw).T
             if gx is not None:
                 gcols = (wf.T @ gc).reshape(cin, kh, kw, -1, oh, ow)
                 gxb = gx[:, blk]
@@ -431,26 +419,17 @@ def maxpool2d(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), back)
 
 
-def flatten(x: Tensor) -> Tensor:
-    """Row-major flatten to a vector."""
+def flatten(x: Tensor, start: int = 0) -> Tensor:
+    """Row-major flatten of the axes from ``start`` on; ``flatten(x, 1)``
+    keeps the leading (instance) axis."""
     shape = x.data.shape
+    if start and x.data.ndim <= start:
+        raise ShapeError(f"flatten: shape {shape} has no axes after axis {start}")
 
     def back(g):
         _accumulate(x, g.reshape(shape))
 
-    return Tensor._from_op(x.data.reshape(-1), (x,), back)
-
-
-def flatten_rows(x: Tensor) -> Tensor:
-    """Flatten every trailing axis, keeping the leading (instance) axis."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"flatten_rows: need at least 2 axes, got shape {x.data.shape}")
-    shape = x.data.shape
-
-    def back(g):
-        _accumulate(x, g.reshape(shape))
-
-    return Tensor._from_op(x.data.reshape(shape[0], -1), (x,), back)
+    return Tensor._from_op(x.data.reshape(*shape[:start], -1), (x,), back)
 
 
 # ---------------------------------------------------------------------------

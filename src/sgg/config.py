@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 ALL_DIRECTIONS = ("oo", "ro", "or", "rr")
+
+
+def refuse_beyond_memory(config, field: str, nbytes: int, what: str) -> None:
+    """Refuse ``config``, naming its size ``field``, when ``what`` would take
+    more bytes than physical memory; checked before anything is allocated."""
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > ram:
+        raise ValueError(f"{field} = {getattr(config, field)} is too large: {what} would "
+                         f"take {nbytes // 2**30} GiB, more than the {ram // 2**30} GiB of "
+                         f"physical memory")
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,26 @@ class Dims:
             raise ValueError(
                 f"mask_res {self.mask_res} incompatible with the 5x5 conv / 2x2 pool / "
                 f"3x3 conv stack")
+        largest = max(fields(self), key=lambda f: getattr(self, f.name)).name
+        refuse_beyond_memory(self, largest, 3 * 8 * self.param_count,
+                             f"{self.param_count} parameters, gradients and momenta")
+
+    @property
+    def param_count(self) -> int:
+        """Floats a model of these sizes allocates: the main stage with every
+        optional input on, the relation filter and the class embedding table."""
+        def mlp(d_in, hidden, d_out):
+            return (d_in + 1) * hidden + (hidden + 1) * d_out
+
+        c1, e, r, n = self.conv1_channels, self.d_obj, self.d_rel, self.n_classes
+        head, srf = 2 * self.d_pe + r, 2 * self.d_emb + 8
+        return (51 * c1 + (9 * c1 + 1) * self.conv2_channels            # spatial convs
+                + (self.d_union + self.spatial_len + 1) * r              # fuse
+                + mlp(2 * e + 2 * self.d_emb, e, e) + mlp(e + r, e, e)   # oo, ro
+                + mlp(r + e, r, r) + mlp(2 * r, r, r)                    # or, rr
+                + (e + 1) * n + 2 * n * self.d_pe                        # object head, sub/obj_emb
+                + mlp(head, 2 * head, self.n_predicates + 1)             # relation head
+                + mlp(srf, 2 * srf, 1) + n * self.d_emb)                 # filter, class table
 
     @property
     def pooled_res(self) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, conv2d, flatten_rows, glorot_uniform, maxpool2d, \
-    relu, zeros_param
+from .autodiff import Tensor, concat_cols, conv2d, flatten, glorot_uniform, maxpool2d, relu, \
+    zeros_param
 from .config import Dims
 from .nn import Affine, ParamGroup, make_affine
 from .scenes import SceneRecord, pair_index, union_frame
@@ -79,7 +79,7 @@ def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
     h = relu(conv2d(x, params.conv1_w, params.conv1_b))
     h = maxpool2d(h)
     h = relu(conv2d(h, params.conv2_w, params.conv2_b))
-    return flatten_rows(h)
+    return flatten(h, 1)
 
 
 def union_visual(scene: SceneRecord, pairs: list[tuple[int, int]],

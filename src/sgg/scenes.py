@@ -17,6 +17,9 @@ distribution over object classes where index 0 is the background class.
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -173,10 +176,10 @@ class SceneRecord:
 
     def check_gt_classes(self, n_classes: int) -> None:
         """Reject a gt object class that a model over ``n_classes`` cannot represent."""
-        worst = max((g.cls for g in self.gt_objects), default=-1)
-        if worst >= n_classes:
-            raise ValueError(f"{self.id}: gt object class {worst} out of range for "
-                             f"{n_classes} classes")
+        for k, g in enumerate(self.gt_objects):
+            if g.cls >= n_classes:
+                raise ValueError(f"{self.id}: gt object class {g.cls} out of range for "
+                                 f"{n_classes} classes (gt_objects[{k}].class)")
 
 
 # ---------------------------------------------------------------------------
@@ -226,57 +229,96 @@ class EmbeddingTable:
 # scene file i/o
 
 
-def _box_from_json(v, where: str) -> Box:
-    if not isinstance(v, list) or len(v) != 4:
-        raise ValueError(f"{where}: box must be [x, y, w, h]")
+# The record format, checked before a record is built: a dict names an
+# object's fields, a list holds values of its one kind and a tuple is a list
+# of that length; int is an index (a JSON integer) and float a finite number.
+# ``_OPTIONAL`` fields may be absent or null; pair_visual's keys are "i,j".
+_RECORD = {"image_size": (float, float),
+           "proposals": [{"box": (float,) * 4, "feature": [float], "label_dist": [float],
+                          "gt_class": int}],
+           "gt_objects": [{"box": (float,) * 4, "class": int}],
+           "gt_triplets": [{"sub": int, "pred": int, "obj": int}],
+           "pair_visual": {"i,j": [float]}}
+_OPTIONAL = ("gt_class", "pair_visual")
+
+
+def _shown(v) -> str:
+    return "an object" if isinstance(v, dict) else f"a list of {len(v)}" \
+        if isinstance(v, list) else json.dumps(v)
+
+
+def _check(v, kind, path: str = "") -> None:
+    """Raise a ValueError naming the field at ``path`` unless ``v`` is of ``kind``."""
+    if isinstance(kind, dict):
+        if not isinstance(v, dict):
+            raise ValueError(f"{path}: expected an object, got {_shown(v)}")
+        if "i,j" in kind:  # one entry per proposal pair, all of one kind
+            for key in v:
+                if not re.fullmatch(r"\d+,\d+", key):
+                    raise ValueError(f'{path}.{key}: expected a key "i,j"')
+            kind = dict.fromkeys(v, kind["i,j"])
+        for key, sub in kind.items():
+            if type(v.get(key)) is sub is int:  # the commonest field, checked inline
+                continue
+            at = f"{path}.{key}" if path else key
+            if key in v and (v[key] is not None or key not in _OPTIONAL):
+                _check(v[key], sub, at)
+            elif key not in _OPTIONAL:
+                raise ValueError(f"{at}: missing")
+    elif isinstance(kind, (list, tuple)):
+        if not isinstance(v, list) or isinstance(kind, tuple) and len(v) != len(kind):
+            size = f" of {len(kind)} numbers" if isinstance(kind, tuple) else ""
+            raise ValueError(f"{path}: expected a list{size}, got {_shown(v)}")
+        # most lists are floats whose sum is finite: then each of them is
+        if kind[0] is not float or not set(map(type, v)) <= {float} \
+                or not math.isfinite(sum(v)):
+            for k, item in enumerate(v):
+                _check(item, kind[0], f"{path}[{k}]")
+    elif isinstance(v, bool) or not isinstance(v, (int, kind)) \
+            or kind is float and not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{path}: expected {'an integer' if kind is int else 'a finite number'}"
+                         f", got {_shown(v)}")
+
+
+def _built(cls, path: str, *args):
+    """``cls(*args)``, its ValueError prefixed with ``path``."""
     try:
-        return Box(*[float(t) for t in v])
+        return cls(*args)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _box(obj, path: str) -> Box:
+    """The checked ``box`` field of the object at ``path``."""
+    return _built(Box, f"{path}.box", *map(float, obj["box"]))
 
 
 def _record_from_json(obj, where: str) -> SceneRecord:
+    """One corpus record; an error names ``where`` and the path of the field."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    if "id" not in obj:
+        raise ValueError(f"{where}: missing field 'id'")
+    rid = str(obj["id"])
     try:
-        rid = str(obj["id"])
-    except KeyError:
-        raise ValueError(f"{where}: missing field 'id'") from None
-    where = f"{where} ({rid})"
-    try:
-        size = obj["image_size"]
-        if not isinstance(size, list) or len(size) != 2:
-            raise ValueError(f"{where}: image_size must be [width, height]")
-        image_size = (float(size[0]), float(size[1]))
-        props = []
-        for k, p in enumerate(obj["proposals"]):
-            props.append(ObjectProposal(
-                box=_box_from_json(p["box"], f"{where}: proposals[{k}].box"),
-                feature=np.array(p["feature"], dtype=np.float64),
-                label_dist=np.array(p["label_dist"], dtype=np.float64),
-                gt_class=None if p.get("gt_class") is None else int(p["gt_class"]),
-            ))
-        gts = [GtObject(_box_from_json(g["box"], f"{where}: gt_objects[{k}].box"),
-                        int(g["class"]))
-               for k, g in enumerate(obj["gt_objects"])]
-        trips = [Triplet(int(t["sub"]), int(t["pred"]), int(t["obj"]))
-                 for t in obj["gt_triplets"]]
-        pv = None
-        if obj.get("pair_visual") is not None:
-            pv = {}
-            for key, vec in obj["pair_visual"].items():
-                i, j = (int(s) for s in key.split(","))
-                pv[(i, j)] = np.array(vec, dtype=np.float64)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValueError) and str(exc).startswith(where):
-            raise
-        raise ValueError(f"{where}: {exc}") from exc
-    try:
-        return SceneRecord(id=rid, image_size=image_size,
-                           proposals=tuple(props), gt_objects=tuple(gts),
-                           gt_triplets=tuple(trips), pair_visual=pv)
+        _check(obj, _RECORD)
+        props = tuple(_built(ObjectProposal, f"proposals[{k}]", _box(p, f"proposals[{k}]"),
+                             p["feature"], p["label_dist"], p.get("gt_class"))
+                      for k, p in enumerate(obj["proposals"]))
+        gts = tuple(_built(GtObject, f"gt_objects[{k}]", _box(g, f"gt_objects[{k}]"), g["class"])
+                    for k, g in enumerate(obj["gt_objects"]))
     except ValueError as exc:
-        raise ValueError(f"{where.split(' (')[0]}: {exc}") from exc
+        raise ValueError(f"{where} ({rid}): {exc}") from None
+    trips = tuple(Triplet(t["sub"], t["pred"], t["obj"]) for t in obj["gt_triplets"])
+    pv = obj.get("pair_visual")
+    if pv is not None:
+        pv = {tuple(map(int, key.split(","))): np.array(vec, dtype=np.float64)
+              for key, vec in pv.items()}
+    try:
+        return SceneRecord(id=rid, image_size=tuple(map(float, obj["image_size"])),
+                           proposals=props, gt_objects=gts, gt_triplets=trips, pair_visual=pv)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_scenes(path) -> list[SceneRecord]:
@@ -288,7 +330,7 @@ def load_scenes(path) -> list[SceneRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a decode error, or an integer of too many digits
                 raise ValueError(f"{path}: line {ln}: malformed JSON: {exc}") from exc
             out.append(_record_from_json(obj, f"{path}: line {ln}"))
     return out

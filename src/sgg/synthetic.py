@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import refuse_beyond_memory
 from .scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet
 
 CANVAS = 512.0
@@ -70,6 +71,9 @@ class SynthConfig:
             raise ValueError("feature_noise, box_jitter and seed must be nonnegative")
         if not 0.0 <= self.confusable <= 1.0:
             raise ValueError("confusable must lie in [0, 1]")
+        largest = max(("n_object_classes", "d_obj"), key=lambda name: getattr(self, name))
+        refuse_beyond_memory(self, largest, 8 * self.n_object_classes * (self.d_obj + N_THEMES),
+                             "the class prototype and theme tables")
 
     @property
     def n_classes(self) -> int:

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgg import autodiff
-from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segment_sum,
-                          _stable_sigmoid, add, add_bias, backward, binary_logistic_loss,
-                          concat_cols, conv2d, cross_entropy_with_softmax,
-                          finite_difference_check, finite_difference_check_params,
-                          flatten, flatten_rows,
-                          gather_rows, glorot_uniform, matmul, maxpool2d, message_mean,
-                          relu, schedule_lr, segment_mean, softmax)
+from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _columns,
+                          _segment_sum, _stable_sigmoid, add, add_bias, backward,
+                          binary_logistic_loss, concat_cols, conv2d,
+                          cross_entropy_with_softmax, finite_difference_check,
+                          finite_difference_check_params, flatten, gather_rows,
+                          glorot_uniform, matmul, maxpool2d, message_mean, relu, schedule_lr,
+                          segment_mean, softmax)
 from sgg.gradcheck import check_all_ops
 
 
@@ -153,6 +153,32 @@ def test_conv2d_matches_einsum_across_ragged_blocks(monkeypatch, seed, x_grad):
             assert x.grad is None
 
 
+def _slice_copy_columns(xb, kh, kw):
+    """The im2col that ``_columns`` replaced: kh*kw slice copies into rows (c, p, q)."""
+    m, cin, h, w = xb.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    cols = np.empty((cin, kh, kw, m, oh, ow))
+    xc = xb.transpose(1, 0, 2, 3)
+    for p in range(kh):
+        for q in range(kw):
+            cols[:, p, q] = xc[:, :, p:p + oh, q:q + ow]
+    return cols.reshape(cin * kh * kw, m * oh * ow)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), cin=st.integers(1, 4),
+       k=st.sampled_from([3, 5]), extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       channel_major=st.booleans())
+def test_columns_equal_the_slice_copy_loop(seed, m, cin, k, extra, channel_major):
+    """The sliding-window im2col gives the slice-copy loop's matrix exactly,
+    for contiguous and channel-major blocks and both kernel sizes."""
+    x0 = np.random.default_rng(seed).normal(size=(m, cin, k + extra[0], k + extra[1]))
+    xb = _channel_major(x0) if channel_major else x0
+    cols = _columns(xb, k, k)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, _slice_copy_columns(xb, k, k))
+
+
 def test_conv2d_multi_block_finite_differences(monkeypatch):
     rng = np.random.default_rng(7)
     monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 2 * 8 * 2 * 3 * 3 * 4 * 4)
@@ -250,10 +276,13 @@ def test_concat_cols_joins_columns():
     np.testing.assert_array_equal(m.data, [[1, 0, 0], [1, 0, 0]])
 
 
-def test_flatten_rows_keeps_leading_axis():
+def test_flatten_from_axis_1_keeps_leading_axis():
     x = Tensor(np.arange(12.0).reshape(2, 3, 2))
-    assert flatten_rows(x).data.shape == (2, 6)
-    np.testing.assert_array_equal(flatten_rows(x).data[0], np.arange(6.0))
+    assert flatten(x, 1).data.shape == (2, 6)
+    np.testing.assert_array_equal(flatten(x, 1).data[0], np.arange(6.0))
+    assert flatten(x).data.shape == (12,)
+    with pytest.raises(ShapeError):
+        flatten(Tensor(np.ones(3)), 1)
 
 
 def test_sigmoid_is_stable_at_extremes():
@@ -294,6 +323,9 @@ def test_shape_errors():
         add(Tensor(np.ones(2)), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    for a, b in (((2, 3), (3,)), ((3,), (3, 2)), ((1, 2, 3), (3, 2))):
+        with pytest.raises(ShapeError):  # mixed or unsupported ranks
+            matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
     with pytest.raises(ShapeError):
         maxpool2d(Tensor(np.ones((1, 1, 3, 4))))
     with pytest.raises(ShapeError):

@@ -17,6 +17,20 @@ DIMS = Dims(n_classes=4, n_predicates=3, d_obj=5, d_emb=3, d_union=6, d_rel=6,
             d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
 
 
+@pytest.mark.parametrize("dims", [
+    DIMS, Dims(n_classes=2, n_predicates=1, d_obj=1, d_emb=1, d_union=1, d_rel=1, d_pe=1,
+               mask_res=10, conv1_channels=1, conv2_channels=1),
+    Dims(n_classes=7, n_predicates=5, d_obj=9, mask_res=14, conv1_channels=3),
+], ids=["small", "ones", "mixed"])
+def test_param_count_is_what_the_model_allocates(dims):
+    """``Dims.param_count``, which the memory bound multiplies, counts every
+    float of the main model with all inputs on, its filter and its seeded
+    class table."""
+    params = init_model_params(ModelConfig(dims), seed=0,
+                               srf=init_srf_params(dims, np.random.default_rng(0)))
+    assert dims.param_count == sum(a.size for a in params.named_arrays().values())
+
+
 def test_params_round_trip_is_value_exact(tmp_path):
     rng = np.random.default_rng(0)
     arrays = {

@@ -281,6 +281,76 @@ def test_malformed_corpus_line_exits_1_naming_the_line(tmp_path, capsys, breaker
     assert "error:" in err and "line 2" in err, err
 
 
+def _set_field(*path_and_value):
+    """A corpus edit setting the value at a JSON path of the record."""
+    *path, value = path_and_value
+
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    return edit
+
+
+NOT_AN_INTEGER = [("3", '"3"'), (True, "true"), (1.5, "1.5"), (1e308, "1e+308")]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rec: rec["gt_triplets"][0].pop("sub"), "gt_triplets[0].sub: missing"),
+    (_set_field("proposals", 0, 3), "proposals[0]: expected an object, got 3"),
+    *[(_set_field("gt_triplets", 0, "pred", value),
+       f"gt_triplets[0].pred: expected an integer, got {shown}")
+      for value, shown in NOT_AN_INTEGER],
+    *[(_set_field("gt_objects", 0, "class", value),
+       f"gt_objects[0].class: expected an integer, got {shown}")
+      for value, shown in NOT_AN_INTEGER],
+    (_set_field("proposals", 1, "gt_class", 2.0),
+     "proposals[1].gt_class: expected an integer, got 2.0"),
+    (_set_field("proposals", 1, "feature", 0, "1"),
+     'proposals[1].feature[0]: expected a finite number, got "1"'),
+    (_set_field("proposals", 1, "feature", 0, 10**400),
+     f"proposals[1].feature[0]: expected a finite number, got {10**400}"),
+], ids=["no-sub", "proposal-3", *[f"pred-{v!r}" for v, _ in NOT_AN_INTEGER],
+        *[f"class-{v!r}" for v, _ in NOT_AN_INTEGER], "gt_class-2.0", "feature-str",
+        "feature-1e400"])
+@pytest.mark.parametrize("command", [["train-srf"], ["train", "--no-srf"]],
+                         ids=["train-srf", "train"])
+def test_corpus_field_error_exits_1_naming_file_line_and_field(tmp_path, capsys, edit,
+                                                               message, command):
+    lines = open(gen_corpus(tmp_path)).read().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    path = write(tmp_path / "broken.jsonl", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run([*command, "--data", path, "--out", str(tmp_path / "x.ckpt")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 2 ({rec['id']}): {message}\n"
+
+
+@pytest.mark.parametrize("command,setting,field", [
+    (["gen"], "d_obj = 1000000000000", "d_obj = 1000000000000"),
+    (["train-srf"], "d_emb = 1000000000000", "d_emb = 1000000000000"),
+    (["train", "--no-srf"], "d_rel = 1000000000000", "d_rel = 1000000000000"),
+    (["train-srf"], "", "n_predicates = 1000000000000000000000000000001"),
+], ids=["gen-d_obj", "train-srf-d_emb", "train-d_rel", "corpus-pred"])
+def test_sizes_beyond_memory_exit_1_naming_the_field(tmp_path, capsys, command, setting,
+                                                     field):
+    """Refused before anything is allocated."""
+    lines = open(gen_corpus(tmp_path)).read().splitlines()
+    if not setting:  # the predicate count is the corpus's largest pred plus one
+        rec = json.loads(lines[1])
+        rec["gt_triplets"][0]["pred"] = 10**30
+        lines[1] = json.dumps(rec)
+    data = write(tmp_path / "big.jsonl", "\n".join(lines) + "\n")
+    cfg = write(tmp_path / "big.cfg", setting + "\n")
+    args = [] if command == ["gen"] else ["--data", data]
+    capsys.readouterr()
+    assert run([*command, *args, "--out", str(tmp_path / "out"), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is too large: "), err
+    assert "of physical memory" in err
+
+
 def test_diverging_training_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
     data = gen_corpus(tmp_path)
     cfg = write(tmp_path / "t.cfg", SRF_CFG.replace("lr = 0.05", "lr = 100"))
@@ -352,7 +422,9 @@ def _n_classes_1(v):
     ("meta.flags", lambda v: v[:5], r"'meta\.flags' has shape \(5,\), expected \(11,\)"),
     ("meta.dims", lambda v: v[:3], r"'meta\.dims' has shape \(3,\), expected \(10,\)"),
     ("meta.dims", _n_classes_1, r"'meta\.dims': n_classes must count background"),
-], ids=["short-flags", "short-dims", "one-class"])
+    ("meta.dims", lambda v: np.concatenate([v[:5], [1e12], v[6:]]),
+     r"'meta\.dims': d_rel = 1000000000000 is too large: "),
+], ids=["short-flags", "short-dims", "one-class", "huge-d_rel"])
 def test_malformed_checkpoint_meta_exits_1_naming_file_and_key(tmp_path, capsys, key, edit,
                                                                 message):
     data = gen_corpus(tmp_path)

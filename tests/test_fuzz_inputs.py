@@ -5,13 +5,14 @@ The settings fuzz drives each subcommand's settings path (config file ->
 merged settings -> config dataclasses) through ``cli.run`` with the work the
 settings would start (generation, training, saving) replaced by stubs, so
 any value the dataclasses accept costs nothing.  Integer values stay small:
-a valid but huge size would allocate that size.  The corpus fuzz replaces one
-JSON value of a valid corpus and trains both stages on it for real; it checks
-only that a bad corpus exits 1, not what the message names.  The checkpoint
-fuzz edits the tokens of small valid checkpoints.
+a valid size that fits in memory would be allocated for real.  The corpus
+fuzz replaces one JSON value of a valid corpus and trains both stages on it
+for real; a bad corpus exits 1 with a message naming the file, the line and
+the field.  The checkpoint fuzz edits the tokens of small valid checkpoints.
 """
 
 import json
+import re
 import string
 
 import numpy as np
@@ -146,6 +147,24 @@ def test_corpus_with_one_value_replaced_trains_or_exits_1(inputs, capsys, data):
                         "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 0 or (code == 1 and err.startswith("error: ")), err
+        if code == 1:
+            _assert_names_the_field(err, str(bad), at + 1, record, path)
+
+
+# the path of a record field in an error message, such as gt_triplets[0].sub
+FIELD_PATH = re.compile(r"\b(id|image_size|proposals|gt_objects|gt_triplets|pair_visual)\b"
+                        r"(\[\d+\]|\.\w+)*")
+
+
+def _assert_names_the_field(err, corpus, line, record, path):
+    """A corpus error names the file and the line (checks made when training
+    reads a scene name its id instead) and, unless the whole record was
+    replaced, a field path."""
+    scene_id = record.get("id") if isinstance(record, dict) else None
+    located = corpus in err and re.search(rf"line {line}\b", err)
+    assert located or err.startswith(f"error: {scene_id}: "), err
+    if path:
+        assert FIELD_PATH.search(err), err
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +215,8 @@ def test_damaged_checkpoint_raises_value_error_naming_the_file(tmp_path, checkpo
     except ValueError as e:
         assert str(path) in str(e)
         return
-    # a valid meta.dims naming huge sizes would allocate them (not tested here)
+    # a valid meta.dims naming sizes that fit in memory would allocate them for
+    # real (not tested here)
     assume(dims is None or np.abs(dims).max(initial=0) <= 32)
     try:
         (load_model if kind == "model" else load_srf_checkpoint)(path)

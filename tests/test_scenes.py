@@ -145,6 +145,14 @@ def test_load_reports_line_numbers(tmp_path):
         load_scenes(path)
 
 
+def test_load_reports_the_line_of_an_integer_too_long_to_parse(tmp_path):
+    path = tmp_path / "long.jsonl"
+    save_scenes(path, [make_scene()])
+    path.write_text(path.read_text().replace('"pred": 1', '"pred": ' + "9" * 5000, 1))
+    with pytest.raises(ValueError, match="line 1: malformed JSON: Exceeds the limit"):
+        load_scenes(path)
+
+
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"id": "x", "image_size": [4, 4]}\n')
