@@ -3,9 +3,26 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 ALL_DIRECTIONS = ("oo", "ro", "or", "rr")
+
+
+def ranged(interval: str, default=MISSING):
+    """A dataclass field that ``check_fields`` keeps in ``interval``: "[0, 1)", "(0, inf)"."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def check_fields(config) -> None:
+    """Refuse any field of ``config`` outside its ``ranged`` interval; NaN lies in none."""
+    for f in fields(config):
+        if "interval" in f.metadata:
+            interval, value = f.metadata["interval"], getattr(config, f.name)
+            lo, hi = (float(end) for end in interval[1:-1].split(","))
+            above = lo <= value if interval[0] == "[" else lo < value
+            below = value <= hi if interval[-1] == "]" else value < hi
+            if not (above and below):
+                raise ValueError(f"{f.name} must lie in {interval}, got {value}")
 
 
 def refuse_beyond_memory(config, field: str, nbytes: int, what: str) -> None:
@@ -28,25 +45,19 @@ class Dims:
     ``n_predicates + 1`` entries with the no-relation class last.
     """
 
-    n_classes: int
-    n_predicates: int
-    d_obj: int = 64
-    d_emb: int = 16
-    d_union: int = 64
-    d_rel: int = 64
-    d_pe: int = 16
-    mask_res: int = 32
-    conv1_channels: int = 8
-    conv2_channels: int = 8
+    n_classes: int = ranged("[2, inf)")  # background plus at least one object class
+    n_predicates: int = ranged("[1, inf)")
+    d_obj: int = ranged("[1, inf)", 64)
+    d_emb: int = ranged("[1, inf)", 16)
+    d_union: int = ranged("[1, inf)", 64)
+    d_rel: int = ranged("[1, inf)", 64)
+    d_pe: int = ranged("[1, inf)", 16)
+    mask_res: int = ranged("[1, inf)", 32)
+    conv1_channels: int = ranged("[1, inf)", 8)
+    conv2_channels: int = ranged("[1, inf)", 8)
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("n_classes must count background plus at least one object class")
-        if self.n_predicates < 1:
-            raise ValueError("n_predicates must be at least 1")
-        for f in fields(self)[2:]:  # the sizes after the two class counts
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be positive")
+        check_fields(self)
         if self.mask_res % 2 or self.pooled_res < 3:
             raise ValueError(
                 f"mask_res {self.mask_res} incompatible with the 5x5 conv / 2x2 pool / "
@@ -93,23 +104,18 @@ class ModelConfig:
     field order is the ``meta.flags`` layout: reordering breaks old checkpoints."""
 
     dims: Dims
-    iterations: int = 2
+    iterations: int = ranged("[0, inf)", 2)
     directions: frozenset = frozenset(ALL_DIRECTIONS)
     use_language: bool = True
     use_prede: bool = True
     use_srf: bool = True
-    srf_top_k: int = 128
-    srf_threshold: float = 0.55
+    srf_top_k: int = ranged("[1, inf)", 128)
+    srf_threshold: float = ranged("[0, 1]", 0.55)
     srf_in_predcls: bool = False
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        check_fields(self)
         bad = set(self.directions) - set(ALL_DIRECTIONS)
         if bad:
             raise ValueError(f"unknown message directions: {sorted(bad)}")
         object.__setattr__(self, "directions", frozenset(self.directions))
-        if self.srf_top_k < 1:
-            raise ValueError("srf_top_k must be positive")
-        if not 0.0 <= self.srf_threshold <= 1.0:
-            raise ValueError("srf_threshold must lie in [0, 1]")

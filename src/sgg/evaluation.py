@@ -28,6 +28,8 @@ from .model import ModelParams, predict_scene
 from .scenes import Box, ObjectProposal, SceneRecord, iou, one_hot
 
 MODES = ("sggen", "sgcls", "predcls")
+# a box matches a gt box when their IoU exceeds this, in triplet recall and in mAP
+IOU_THRESHOLD = 0.5
 
 
 class EvalTriplet(NamedTuple):
@@ -38,11 +40,8 @@ class EvalTriplet(NamedTuple):
     obj_box: Box
 
 
-def match_triplets(predictions: list[EvalTriplet], gts: list[EvalTriplet],
-                   iou_threshold: float = 0.5, limit: int | None = None) -> int:
+def match_triplets(predictions: list[EvalTriplet], gts: list[EvalTriplet]) -> int:
     """Greedy match count; ``predictions`` must already be rank-ordered."""
-    if limit is not None:
-        predictions = predictions[:limit]
     claimed = [False] * len(gts)
     hits = 0
     for p in predictions:
@@ -50,20 +49,19 @@ def match_triplets(predictions: list[EvalTriplet], gts: list[EvalTriplet],
             if claimed[gi] or p.sub_label != g.sub_label or p.pred != g.pred \
                     or p.obj_label != g.obj_label:
                 continue
-            if iou(p.sub_box, g.sub_box) > iou_threshold \
-                    and iou(p.obj_box, g.obj_box) > iou_threshold:
+            if iou(p.sub_box, g.sub_box) > IOU_THRESHOLD \
+                    and iou(p.obj_box, g.obj_box) > IOU_THRESHOLD:
                 claimed[gi] = True
                 hits += 1
                 break
     return hits
 
 
-def recall_at_k(predictions: list[EvalTriplet], gts: list[EvalTriplet], k: int,
-                iou_threshold: float = 0.5) -> float | None:
+def recall_at_k(predictions: list[EvalTriplet], gts: list[EvalTriplet], k: int) -> float | None:
     """Matched fraction of gt within the top k; None when the scene has no gt."""
     if not gts:
         return None
-    return match_triplets(predictions, gts, iou_threshold, limit=k) / len(gts)
+    return match_triplets(predictions[:k], gts) / len(gts)
 
 
 def gt_eval_triplets(scene: SceneRecord) -> list[EvalTriplet]:
@@ -126,8 +124,7 @@ def _average_precision(records: list[tuple[float, bool]], n_gt: int) -> float:
     return ap / 11.0
 
 
-def detection_map(per_scene: list[tuple[PredictedGraph, SceneRecord]],
-                  iou_threshold: float = 0.5) -> float:
+def detection_map(per_scene: list[tuple[PredictedGraph, SceneRecord]]) -> float:
     """Mean AP over the gt classes, detections pooled across the corpus."""
     detections: list[tuple[float, int, int, int]] = []  # score, scene, prop, label
     for si, (pg, _) in enumerate(per_scene):
@@ -143,7 +140,7 @@ def detection_map(per_scene: list[tuple[PredictedGraph, SceneRecord]],
         if label not in records:
             continue
         pg, scene = per_scene[si]
-        best, best_iou = -1, iou_threshold
+        best, best_iou = -1, IOU_THRESHOLD
         for gi, g in enumerate(scene.gt_objects):
             if g.cls != label or claimed[si][gi]:
                 continue
@@ -171,7 +168,7 @@ class EvalResult:
 
 def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig,
              modes: tuple[str, ...] = MODES, ks: tuple[int, ...] = (20, 50, 100),
-             iou_threshold: float = 0.5, workers: int = 1) -> EvalResult:
+             workers: int = 1) -> EvalResult:
     """Mean per-scene recall@K for each mode plus detection mAP.
 
     Scenes are independent, so they may be evaluated by a thread pool; the
@@ -191,7 +188,7 @@ def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig
             if mode == "sggen":
                 sggen_pg = pg
             preds = predicted_eval_triplets(pg)
-            out[mode] = {k: recall_at_k(preds, gts, k, iou_threshold) for k in ks}
+            out[mode] = {k: recall_at_k(preds, gts, k) for k in ks}
         if sggen_pg is None:
             sggen_pg = predict_scene(scene, params, config, "sggen")
         return out, (sggen_pg, scene)
@@ -208,7 +205,7 @@ def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig
 
     mean_recalls = {mode: {k: mean_recall(mode, k) for k in ks} for mode in modes}
     return EvalResult(recalls=mean_recalls,
-                      map50=detection_map([pair for _, pair in results], iou_threshold),
+                      map50=detection_map([pair for _, pair in results]),
                       n_scenes=len(scenes))
 
 

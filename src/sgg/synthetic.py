@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import refuse_beyond_memory
+from .config import check_fields, ranged, refuse_beyond_memory
 from .scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet
 
 CANVAS = 512.0
@@ -42,38 +42,37 @@ _RELATED_GATE = 0.7 * CANVAS
 
 @dataclass(frozen=True)
 class SynthConfig:
-    num_scenes: int = 100
-    min_objects: int = 3
-    max_objects: int = 6
-    n_object_classes: int = 6  # real classes; background is index 0 on top of these
-    n_predicates: int = 6
-    feature_noise: float = 0.3
-    box_jitter: float = 6.0
-    dropout: float = 0.1
-    seed: int = 0
-    d_obj: int = 64
+    num_scenes: int = ranged("[1, inf)", 100)
+    min_objects: int = ranged("[1, inf)", 3)
+    max_objects: int = ranged("[1, inf)", 6)
+    n_object_classes: int = ranged("[2, inf)", 6)  # real classes; background 0 is extra
+    n_predicates: int = ranged("[1, inf)", 6)
+    feature_noise: float = ranged("[0, inf)", 0.3)
+    box_jitter: float = ranged("[0, inf)", 6.0)
+    dropout: float = ranged("[0, 1]", 0.1)
+    seed: int = ranged("[0, inf)", 0)
+    d_obj: int = ranged("[1, inf)", 64)
     # Blend each consecutive class pair's feature prototypes toward each
     # other: at 1.0 the pair shares one prototype, so appearance alone cannot
     # separate its members — only scene context (the theme) can.  Consecutive
     # classes always sit in different themes, so the ambiguity stays
     # resolvable from the rest of the scene.
-    confusable: float = 0.0
+    confusable: float = ranged("[0, 1]", 0.0)
 
     def __post_init__(self):
-        if self.num_scenes < 1 or self.min_objects < 1 or self.max_objects < self.min_objects:
-            raise ValueError("bad scene or object counts: need num_scenes >= 1 and "
-                             "1 <= min_objects <= max_objects")
-        if self.n_object_classes < 2 or self.n_predicates < 1 or self.d_obj < 1:
-            raise ValueError("need n_object_classes >= 2, n_predicates >= 1 and d_obj >= 1")
-        if not 0.0 <= self.dropout <= 1.0:
-            raise ValueError("dropout must lie in [0, 1]")
-        if self.feature_noise < 0 or self.box_jitter < 0 or self.seed < 0:
-            raise ValueError("feature_noise, box_jitter and seed must be nonnegative")
-        if not 0.0 <= self.confusable <= 1.0:
-            raise ValueError("confusable must lie in [0, 1]")
+        check_fields(self)
+        if self.max_objects < self.min_objects:
+            raise ValueError(f"max_objects must be at least min_objects = {self.min_objects}, "
+                             f"got {self.max_objects}")
         largest = max(("n_object_classes", "d_obj"), key=lambda name: getattr(self, name))
         refuse_beyond_memory(self, largest, 8 * self.n_object_classes * (self.d_obj + N_THEMES),
                              "the class prototype and theme tables")
+        # per object: gt and proposal features, a label distribution and a class
+        # draw; per ordered pair: one slot the triplet rule may fill
+        n = self.max_objects
+        refuse_beyond_memory(self, "max_objects",
+                             8 * n * (2 * self.d_obj + self.n_classes + 1 + n),
+                             "one scene's objects and object pairs")
 
     @property
     def n_classes(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import SgdMomentum, Tensor, add, backward, cross_entropy_with_softmax, \
     gather_rows
-from .config import Dims, ModelConfig
+from .config import Dims, ModelConfig, check_fields, ranged
 from .filter import gt_overlaps, init_srf_params, matched_triplets, ordered_pairs, pair_inputs, \
     srf_loss, srf_training_labels
 from .model import ModelParams, SceneInputs, forward, init_model_params, scene_inputs
@@ -39,22 +39,15 @@ from .scenes import iou  # noqa: F401,E402
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 15
-    lr: float = 5e-3
-    momentum: float = 0.9
-    seed: int = 0
-    negative_ratio: float = 3.0
-    match_iou: float = 0.5
+    epochs: int = ranged("[0, inf)", 15)
+    lr: float = ranged("(0, inf)", 5e-3)
+    momentum: float = ranged("[0, 1)", 0.9)
+    seed: int = ranged("[0, inf)", 0)
+    negative_ratio: float = ranged("[0, inf)", 3.0)
+    match_iou: float = ranged("(0, 1)", 0.5)
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("bad optimizer settings: need epochs >= 0, lr > 0 and "
-                             "momentum in [0, 1)")
-        if self.negative_ratio < 0 or not 0.0 < self.match_iou < 1.0:
-            raise ValueError("bad supervision settings: need negative_ratio >= 0 and "
-                             "match_iou in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_fields(self)
 
 
 # A diverging step overflows; ``_finite``'s loss check reports it, so numpy's

@@ -332,7 +332,8 @@ def test_corpus_field_error_exits_1_naming_file_line_and_field(tmp_path, capsys,
     (["train-srf"], "d_emb = 1000000000000", "d_emb = 1000000000000"),
     (["train", "--no-srf"], "d_rel = 1000000000000", "d_rel = 1000000000000"),
     (["train-srf"], "", "n_predicates = 1000000000000000000000000000001"),
-], ids=["gen-d_obj", "train-srf-d_emb", "train-d_rel", "corpus-pred"])
+    (["gen"], "num_scenes = 1\nmax_objects = 1000000000000", "max_objects = 1000000000000"),
+], ids=["gen-d_obj", "train-srf-d_emb", "train-d_rel", "corpus-pred", "gen-max_objects"])
 def test_sizes_beyond_memory_exit_1_naming_the_field(tmp_path, capsys, command, setting,
                                                      field):
     """Refused before anything is allocated."""
@@ -421,7 +422,7 @@ def _n_classes_1(v):
 @pytest.mark.parametrize("key,edit,message", [
     ("meta.flags", lambda v: v[:5], r"'meta\.flags' has shape \(5,\), expected \(11,\)"),
     ("meta.dims", lambda v: v[:3], r"'meta\.dims' has shape \(3,\), expected \(10,\)"),
-    ("meta.dims", _n_classes_1, r"'meta\.dims': n_classes must count background"),
+    ("meta.dims", _n_classes_1, r"'meta\.dims': n_classes must lie in \[2, inf\), got 1\n"),
     ("meta.dims", lambda v: np.concatenate([v[:5], [1e12], v[6:]]),
      r"'meta\.dims': d_rel = 1000000000000 is too large: "),
 ], ids=["short-flags", "short-dims", "one-class", "huge-d_rel"])

@@ -154,13 +154,13 @@ def test_theme_weights_are_distributions():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="counts"):
+    with pytest.raises(ValueError, match="max_objects must be at least min_objects"):
         SynthConfig(min_objects=4, max_objects=3)
-    with pytest.raises(ValueError, match="dropout"):
+    with pytest.raises(ValueError, match=r"dropout must lie in \[0, 1\]"):
         SynthConfig(dropout=1.5)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"feature_noise must lie in \[0, inf\)"):
         SynthConfig(feature_noise=-0.1)
-    with pytest.raises(ValueError, match="predicate"):
+    with pytest.raises(ValueError, match=r"n_predicates must lie in \[1, inf\)"):
         SynthConfig(n_predicates=0)
-    with pytest.raises(ValueError, match="confusable"):
+    with pytest.raises(ValueError, match=r"confusable must lie in \[0, 1\]"):
         SynthConfig(confusable=1.2)

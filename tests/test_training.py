@@ -81,13 +81,13 @@ def test_srf_stops_on_a_non_finite_loss():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="optimizer"):
+    with pytest.raises(ValueError, match=r"lr must lie in \(0, inf\)"):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError, match="optimizer"):
+    with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
         TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError, match="supervision"):
+    with pytest.raises(ValueError, match=r"match_iou must lie in \(0, 1\)"):
         TrainConfig(match_iou=0.0)
-    with pytest.raises(ValueError, match="supervision"):
+    with pytest.raises(ValueError, match=r"negative_ratio must lie in \[0, inf\)"):
         TrainConfig(negative_ratio=-1.0)
 
 
