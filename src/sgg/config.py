@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral
 
 ALL_DIRECTIONS = ("oo", "ro", "or", "rr")
 
@@ -14,15 +15,19 @@ def ranged(interval: str, default=MISSING):
 
 
 def check_fields(config) -> None:
-    """Refuse any field of ``config`` outside its ``ranged`` interval; NaN lies in none."""
+    """Refuse any field of ``config`` outside its ``ranged`` interval (NaN lies
+    in none), and any ``int`` field that holds no integer or a bool."""
     for f in fields(config):
+        value = getattr(config, f.name)
         if "interval" in f.metadata:
-            interval, value = f.metadata["interval"], getattr(config, f.name)
+            interval = f.metadata["interval"]
             lo, hi = (float(end) for end in interval[1:-1].split(","))
             above = lo <= value if interval[0] == "[" else lo < value
             below = value <= hi if interval[-1] == "]" else value < hi
             if not (above and below):
                 raise ValueError(f"{f.name} must lie in {interval}, got {value}")
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value}")
 
 
 def refuse_beyond_memory(config, field: str, nbytes: int, what: str) -> None:

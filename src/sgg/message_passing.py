@@ -11,9 +11,13 @@ neighbor sets contribute nothing.
 Each direction is one ``autodiff.message_mean`` op.  It splits the first
 layer, ``[x_t; x_s] W1 + b1 = (x_t W1[:d_t] + b1)[t] + (x_s W1[d_t:])[s]``,
 which is the same maths as the concatenation but projects every object or
-relation once rather than once per message row (relation-to-relation rows
-grow as n^3).  The ``oo`` direction reads the language channels as part of
-each object's row, ``[x_obj, e_lang]``.
+relation once rather than once per message row.  Relation-to-relation rows
+grow as n^3 in the proposal count n, so the op runs its rows in blocks and
+recomputes each block's hidden layer in backward: its memory grows with the
+targets and sources (n^2 relations) plus one block, and only a one-byte
+mask per row and output column grows with the rows.  The index arrays are sorted by target, as
+the op requires.  The ``oo`` direction reads the language channels as part
+of each object's row, ``[x_obj, e_lang]``.
 
 Within one iteration objects update first and the relation sweep reads the
 refreshed object features; relation-to-relation messages still read the

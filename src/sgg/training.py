@@ -199,7 +199,7 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
     if not prepared:
         raise ValueError("no trainable scenes (all empty)")
     if not any(p.edges for p in prepared):
-        raise ValueError("the filter retained no pairs in any scene; nothing to train on")
+        raise ValueError("no scene has two proposals; nothing to train on")
     steps = [(idx, prep.scene.id, prep.rel_targets != config.dims.no_relation,
               partial(scene_loss, prep, params, config)) for idx, prep in enumerate(prepared)]
     return params, _fit("main model", params.trainable(), steps, tcfg, stream=4)

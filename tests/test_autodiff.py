@@ -207,6 +207,44 @@ def test_conv2d_memory_is_output_plus_one_block():
     assert peak < im2col_bytes / 2
 
 
+def test_message_mean_multi_block_finite_differences(monkeypatch):
+    """Blocks of two rows: three blocks, for targets 0, 2 and 3 (target 1
+    has no rows), with sources of another width."""
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(autodiff, "MESSAGE_BLOCK_BYTES", 2 * 8 * 3)
+    t, s = np.array([0, 0, 2, 2, 3, 3]), np.array([1, 3, 0, 3, 3, 2])
+    assert len(autodiff._row_blocks(t, 2)) == 3
+    tensors = [Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((4, 2), (4, 3), (5, 3), 3, (3, 2), 2)]
+    v = Tensor(rng.normal(size=8))
+
+    def loss():
+        x_t, x_s, *weights = tensors
+        return matmul(flatten(message_mean(x_t, t, x_s, s, *weights, relu_out=True)), v)
+
+    assert finite_difference_check_params(loss, tensors) < 1e-6
+
+
+def test_message_mean_keeps_no_rows_by_hidden_array():
+    """Forward and backward over 64k rows of a 64-wide hidden layer peak
+    below half of one rows x hidden float array (32 MB): the op keeps the two
+    projections and a bool mask per block, and recomputes the hidden layer."""
+    rng = np.random.default_rng(0)
+    n, rows, width = 256, 65536, 64
+    t, s = np.repeat(np.arange(n), rows // n), rng.integers(0, n, rows)
+    x = Tensor(rng.normal(size=(n, width)), requires_grad=True)
+    w1, b1, w2, b2 = (Tensor(rng.normal(size=shape), requires_grad=True)
+                      for shape in ((2 * width, width), width, (width, width), width))
+    g = rng.normal(size=(n, width))
+    tracemalloc.start()
+    try:
+        message_mean(x, t, x, s, w1, b1, w2, b2, relu_out=True)._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * width / 2
+
+
 def _pool_oracle(x, g):
     """Window-last reshape and argmax pooling: output and input gradient."""
     n, c, h, w = x.shape
@@ -337,6 +375,8 @@ def test_shape_errors():
         message_mean(x, [0, 2], x, [1, 0], w1, b1, w2, b2, relu_out=True)
     with pytest.raises(ShapeError, match="do not fit"):
         message_mean(x, [0, 1], x, [1, 0], w1, b1, b1, b2, relu_out=True)
+    with pytest.raises(ShapeError, match="sorted"):
+        message_mean(x, [1, 0], x, [1, 0], w1, b1, w2, b2, relu_out=True)
 
 
 def test_nonfinite_leaf_rejected():

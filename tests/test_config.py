@@ -151,6 +151,35 @@ def test_non_finite_values_are_refused_naming_field_interval_and_value(cls, valu
         assert str(info.value) == f"{key} must lie in {interval}, got {value}"
 
 
+@BY_CONFIG
+def test_int_fields_refuse_fractions_and_bools(cls):
+    """Each int field refuses a fraction inside its interval and a bool, and
+    takes a numpy integer."""
+    base, _, intervals = CONFIGS[cls]
+    for key, interval in intervals.items():
+        if _kind(cls, key) != "int":
+            continue
+        inside = float(interval[1:-1].split(",")[0]) + 2
+        with pytest.raises(ValueError) as info:
+            cls(**{**base, key: inside + 0.5})
+        assert str(info.value) == f"{key} must be an integer, got {inside + 0.5}"
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            cls(**{**base, key: True})
+        valid = getattr(cls(**base), key)
+        assert getattr(cls(**{**base, key: np.int64(valid)}), key) == valid
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SynthConfig(num_scenes=2.5), "num_scenes must be an integer, got 2.5"),
+    (lambda: Dims(n_classes=3, n_predicates=2, d_obj=2.5), "d_obj must be an integer, got 2.5"),
+    (lambda: TrainConfig(epochs=True), "epochs must be an integer, got True"),
+], ids=["num_scenes", "d_obj", "epochs"])
+def test_non_integers_that_once_passed_are_refused(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("make", [
     lambda: TrainConfig(lr=math.nan), lambda: TrainConfig(lr=math.inf),
     lambda: TrainConfig(negative_ratio=math.nan), lambda: SynthConfig(feature_noise=math.nan),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgg import autodiff
 from sgg.autodiff import (Tensor, backward, concat_cols, flatten, gather_rows, matmul,
                           segment_mean)
 from sgg.config import ALL_DIRECTIONS, Dims, ModelConfig
@@ -171,6 +172,55 @@ def test_message_mean_matches_the_composition(relu_out):
             for a, b in zip(fused, composed):
                 err, scale = np.abs(a - b).max(initial=0.0), np.abs(b).max(initial=0.0)
                 assert err <= 1e-12 * scale, (err, scale)
+
+
+def test_row_blocks_end_on_target_boundaries():
+    t = np.array([0, 0, 0, 0, 0, 2, 2, 3, 5, 5, 5], dtype=np.intp)
+    # target 0 outgrows a block and fills one alone, target 2 fills the next
+    assert autodiff._row_blocks(t, 3) == [slice(0, 5), slice(5, 7), slice(7, 11)]
+    assert autodiff._row_blocks(t, 11) == [slice(0, 11)]
+    # a one-row block joins its neighbour: after, or before when it is last
+    t = np.array([0, 0, 0, 0, 0, 1, 2, 2, 2, 2], dtype=np.intp)
+    assert autodiff._row_blocks(t, 3) == [slice(0, 6), slice(6, 10)]
+    assert autodiff._row_blocks(np.array([0, 1, 1, 1]), 1) == [slice(0, 4)]
+    assert autodiff._row_blocks(np.array([0, 0, 0, 1]), 1) == [slice(0, 4)]
+    assert autodiff._row_blocks(np.array([4]), 1) == [slice(0, 1)]
+    assert autodiff._row_blocks(np.array([], dtype=np.intp), 1) == []
+
+
+def blocked_cases():
+    """Every direction of the oracle graphs, then a direction whose targets
+    1 and 4 have no rows and whose target 0 fills a three-row block alone."""
+    for g in oracle_graphs():
+        yield from direction_inputs(g)
+    rng = np.random.default_rng(63)
+    t = np.array([0, 0, 0, 0, 0, 2, 2, 3, 5, 5, 5], dtype=np.intp)
+    yield rng.normal(size=(6, 4)), t, rng.normal(size=(3, 2)), rng.integers(0, 3, t.size)
+
+
+@pytest.mark.parametrize("relu_out", [True, False])
+def test_blocked_message_mean_matches_one_block(monkeypatch, relu_out):
+    """Blocks of three rows give the one-block output bit for bit, because
+    each target is summed inside one block in row order, and the gradients
+    of the composition."""
+    rng = np.random.default_rng(64)
+    hidden, multi = 6, 0
+    for x_t, t_idx, x_s, s_idx in blocked_cases():
+        d_s = (x_t if x_s is None else x_s).shape[1]
+        mlp = make_mlp(rng, x_t.shape[1] + d_s, hidden, 5, relu_out=relu_out)
+        probe = rng.normal(size=(x_t.shape[0], 5))
+        args = (mlp, x_t, t_idx, x_s, s_idx, probe)
+        monkeypatch.setattr(autodiff, "MESSAGE_BLOCK_BYTES", 8 * hidden * t_idx.size)
+        one = output_and_grads(_message_mean, *args)
+        monkeypatch.setattr(autodiff, "MESSAGE_BLOCK_BYTES", 8 * hidden * 3)
+        blocked = output_and_grads(_message_mean, *args)
+        composed = output_and_grads(composed_message_mean, *args)
+        assert np.array_equal(blocked[0].view(np.int64), one[0].view(np.int64))
+        for a, b in zip(blocked, composed):
+            err, scale = np.abs(a - b).max(initial=0.0), np.abs(b).max(initial=0.0)
+            assert err <= 1e-12 * scale, (err, scale)
+        multi += len(autodiff._row_blocks(t_idx, 3)) > 1
+    assert multi >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,17 @@ def test_main_rejects_empty_corpus():
         train_main([empty], synth_model_config(), TrainConfig(epochs=1))
 
 
+def test_main_rejects_corpus_without_pairs():
+    """The main stage supervises every ordered pair and runs no filter, so a
+    corpus of one-proposal scenes is refused for having no pairs."""
+    scenes = [SceneRecord(id=f"s{k}", image_size=(64, 64),
+                          proposals=related_scene("r").proposals[:1],
+                          gt_objects=related_scene("r").gt_objects[:1], gt_triplets=())
+              for k in range(3)]
+    with pytest.raises(ValueError, match="^no scene has two proposals; nothing to train on$"):
+        train_main(scenes, ModelConfig(dims=DIMS, use_srf=False), TrainConfig(epochs=1))
+
+
 # ---------------------------------------------------------------------------
 # both stages against their former loops
 
