@@ -6,9 +6,10 @@ resulting implicit tape is replayed by :func:`backward` in exact reverse
 creation order.  The op zoo is only what the relation-graph pipeline needs:
 no general broadcasting (bias addition is its own op), no view ops, no
 higher order derivatives.  An op's result may still be a transposed view of
-its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored channel-major,
-``relu`` and ``maxpool2d`` keep that layout, and the next ``conv2d`` then
-reads each channel's instances contiguously.
+its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored as
+(Cout, oh, N, ow), ``relu`` and ``maxpool2d`` keep that layout, and it is
+the order (channel, row, instance, column) in which the next ``conv2d``
+copies its width windows.
 
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
@@ -21,12 +22,13 @@ target; the rows run in blocks of about ``MESSAGE_BLOCK_BYTES`` of hidden
 layer that each end on a target boundary, and backward recomputes a block's
 hidden layer from the kept per-target and per-source projections, so memory
 is O((targets + sources) x hidden + one block) and no rows x hidden array
-stays on the tape), ``conv2d`` (one GEMM per block of instances of about
-``CONV_BLOCK_BYTES`` over one copy of its sliding-window view; backward
-recomputes a block's columns instead of storing them, so memory is the
-output plus one block), ``maxpool2d`` (the max of the four stride-2 views),
-``flatten`` (the axes from a start axis on), ``softmax``,
-``cross_entropy_with_softmax`` and ``binary_logistic_loss``.
+stays on the tape), ``conv2d`` (lowered along the width only: per block of
+instances, one copy of its kw-wide windows of about ``CONV_BLOCK_BYTES``
+and kh GEMMs over column ranges of it; backward recomputes a block's
+windows instead of storing them, so memory is the output plus one block),
+``maxpool2d`` (the max of the four stride-2 views), ``flatten`` (the axes
+from a start axis on), ``softmax``, ``cross_entropy_with_softmax`` and
+``binary_logistic_loss``.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def gather_rows(m: Tensor, indices) -> Tensor:
         if m.requires_grad:
             _accumulate(m, _segment_sum(g, idx, m.data.shape[0]))
 
-    return Tensor._from_op(m.data[idx], (m,), back)
+    return Tensor._from_op(m.data.take(idx, axis=0), (m,), back)
 
 
 def segment_mean(m: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -257,21 +259,26 @@ def segment_mean(m: Tensor, segment_ids, num_segments: int) -> Tensor:
     sums = _segment_sum(m.data, seg, num_segments)
 
     def back(g):
-        _accumulate(m, g[seg] / denom[seg, None])
+        _accumulate(m, g.take(seg, axis=0) / denom.take(seg)[:, None])
 
     return Tensor._from_op(sums / denom[:, None], (m,), back)
 
 
 # message_mean works through its rows in blocks whose hidden layer takes
 # about this many bytes (float64), and conv2d through its instances in blocks
-# whose im2col columns do, so neither keeps more than one block of either.
+# whose kw-wide window copy does (kw floats per input cell and channel), so
+# neither keeps more than one block of either.
 # At a hidden width of 64 a message block is 2048 rows: the 1400 rr rows of
 # an 8-proposal scene run as one block, so small scenes train as the
 # unblocked op did, bit for bit.  Against 512-row blocks, scenes of about 17
 # proposals trained faster (4.0-4.5 against 3.7-4.0 steps/s, 2-core VM) and
-# peaked higher (317 against 295 MB).
+# peaked higher (317 against 295 MB).  A conv block of 1 MB keeps the
+# windows, the block's output and its gradient within a 2 MB L2: on 287
+# default-size masks (one BLAS thread) conv1 forward/backward took 17/17-18
+# ms against 20-23/26-30 ms at 2 MB, and conv2 4.1-5.1/12.5-15 against
+# 4.6-5.7/14.7-17 ms.
 MESSAGE_BLOCK_BYTES = 1 << 20
-CONV_BLOCK_BYTES = 2 << 20
+CONV_BLOCK_BYTES = 1 << 20
 
 
 def _row_blocks(t: np.ndarray, step: int) -> list[slice]:
@@ -394,24 +401,30 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
 # spatial ops (stride-1 valid convolution, 2x2 max pooling)
 
 
-def _columns(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col of a block (m, Cin, H, W): (Cin*kh*kw, m*oh*ow), channel-major.
+def _windows(xb: np.ndarray, kw: int) -> np.ndarray:
+    """Width-only lowering of a block (m, Cin, H, W): (Cin*kw, H*m*ow).
 
-    Row (c, p, q) holds the (p, q)-shifted window of channel c for every
-    instance and output cell: one copy of the block's sliding-window view.
+    Row (c, q) holds the q-shifted width windows of channel c, input row
+    major, then instance, then output column: one copy of the block's
+    sliding-window view along the width.  Input rows p .. p+oh-1 of every
+    instance are then the contiguous columns p*m*ow .. (p+oh)*m*ow.
     """
-    win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        xb.shape[1] * kh * kw, -1)
+    win = np.lib.stride_tricks.sliding_window_view(xb, kw, axis=3)
+    return np.ascontiguousarray(win.transpose(1, 4, 2, 0, 3)).reshape(
+        xb.shape[1] * kw, -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid convolution of (N, Cin, H, W) with (Cout, Cin, kh, kw) plus bias.
 
-    One GEMM ``w.reshape(Cout, -1) @ cols`` per block of instances
-    (``CONV_BLOCK_BYTES``); the backward pass recomputes each block's columns
-    instead of keeping them.  The result is an (N, Cout, oh, ow) transposed
-    view of a channel-major (Cout, N, oh, ow) buffer.
+    Lowered along the width only (MEC, Cho & Brand, arXiv:1706.06873): per
+    block of instances (``CONV_BLOCK_BYTES`` of ``_windows``) the output is
+    ``sum_p w[:, :, p, :] @ cols[:, p*m*ow:(p+oh)*m*ow]``, kh GEMMs on one
+    kw-wide copy where an im2col copies each input kh*kw times.  Backward
+    recomputes the windows, forms the weight gradient per row shift p the
+    same way, and folds ``w_p.T @ g`` back onto the input with kw strided
+    adds.  The result is an (N, Cout, oh, ow) view of a (Cout, oh, N, ow)
+    buffer, the order in which the next conv copies its windows.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError("conv2d: expected x(N,C,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
@@ -422,34 +435,43 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if h < kh or wd < kw:
         raise ShapeError(f"conv2d: input {h}x{wd} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, wd - kw + 1
-    step = max(1, CONV_BLOCK_BYTES // (8 * cin * kh * kw * oh * ow))
+    step = max(1, CONV_BLOCK_BYTES // (8 * cin * kw * h * ow))
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    wf = w.data.reshape(cout, -1)
-    out = np.empty((cout, n, oh, ow))
+    wp = np.ascontiguousarray(w.data.transpose(2, 0, 1, 3)).reshape(kh, cout, cin * kw)
+    out = np.empty((cout, oh, n, ow))
     for blk in blocks:
-        cols = _columns(x.data[blk], kh, kw)
-        out[:, blk] = (wf @ cols).reshape(cout, -1, oh, ow)
+        cols = _windows(x.data[blk], kw)
+        r = cols.shape[1] // h  # columns per input row: m * ow
+        ob = wp[0] @ cols[:, :oh * r]
+        for p in range(1, kh):
+            ob += wp[p] @ cols[:, p * r:(p + oh) * r]
+        out[:, :, blk] = ob.reshape(cout, oh, -1, ow)
     out += b.data[:, None, None, None]
 
     def back(g):
-        gt = g.transpose(1, 0, 2, 3)
+        gt = g.transpose(1, 2, 0, 3)
         _accumulate(b, gt.sum(axis=(1, 2, 3)))
-        gw = np.zeros_like(wf)
-        gx = np.zeros((cin, n, h, wd)) if x.requires_grad else None
+        gw = np.zeros((kh, cout, cin * kw))
+        gx = np.zeros((cin, h, n, wd)) if x.requires_grad else None
         for blk in blocks:
-            gc = gt[:, blk].reshape(cout, -1)
-            gw += gc @ _columns(x.data[blk], kh, kw).T
+            gc = gt[:, :, blk].reshape(cout, -1)
+            cols = _windows(x.data[blk], kw)
+            r = cols.shape[1] // h
+            for p in range(kh):
+                gw[p] += gc @ cols[:, p * r:(p + oh) * r].T
             if gx is not None:
-                gcols = (wf.T @ gc).reshape(cin, kh, kw, -1, oh, ow)
-                gxb = gx[:, blk]
+                gcols = np.zeros_like(cols)
                 for p in range(kh):
-                    for q in range(kw):
-                        gxb[:, :, p:p + oh, q:q + ow] += gcols[:, p, q]
-        _accumulate(w, gw.reshape(w.data.shape))
+                    gcols[:, p * r:(p + oh) * r] += wp[p].T @ gc
+                gcols = gcols.reshape(cin, kw, h, -1, ow)
+                gxb = gx[:, :, blk]
+                for q in range(kw):
+                    gxb[..., q:q + ow] += gcols[:, q]
+        _accumulate(w, gw.reshape(kh, cout, cin, kw).transpose(1, 2, 0, 3))
         if gx is not None:
-            _accumulate(x, gx.transpose(1, 0, 2, 3))
+            _accumulate(x, gx.transpose(2, 0, 1, 3))
 
-    return Tensor._from_op(out.transpose(1, 0, 2, 3), (x, w, b), back)
+    return Tensor._from_op(out.transpose(2, 0, 1, 3), (x, w, b), back)
 
 
 def maxpool2d(x: Tensor) -> Tensor:

@@ -10,8 +10,12 @@ their normalized boxes.
 Masks and surrogate visuals read one union frame (``scenes.union_frame``),
 and ``pair_geometry`` builds both for a whole pair list in one
 ``rasterize_mask`` and one ``union_visual`` call.  The conv stack runs on
-``autodiff.conv2d``, which works in blocks of pairs, so its memory grows
-with the conv outputs, not with an im2col matrix of every pair.
+``autodiff.conv2d``, which works in blocks of pairs and lowers each block
+along the width only: one copy of its kw-wide windows (up to 5 copies of
+each mask cell for conv1, where an im2col makes up to 25) and kh GEMMs
+over it.  So its memory grows with the conv outputs, not with an im2col
+matrix of every pair, and ReLU, pooling and the next conv keep the layout
+the conv writes.
 """
 
 from __future__ import annotations

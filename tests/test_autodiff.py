@@ -8,14 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgg import autodiff
-from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _columns,
-                          _segment_sum, _stable_sigmoid, add, add_bias, backward,
+from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segment_sum,
+                          _stable_sigmoid, _windows, add, add_bias, backward,
                           binary_logistic_loss, concat_cols, conv2d,
                           cross_entropy_with_softmax, finite_difference_check,
                           finite_difference_check_params, flatten, gather_rows,
                           glorot_uniform, matmul, maxpool2d, message_mean, relu, schedule_lr,
                           segment_mean, softmax)
+from sgg.config import Dims
+from sgg.filter import ordered_pairs
 from sgg.gradcheck import check_all_ops
+from sgg.relation_features import init_relfeat_params, pair_geometry, spatial_features
+from sgg.synthetic import SynthConfig, generate_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +103,14 @@ def test_maxpool_forward_and_tie_routing():
     np.testing.assert_array_equal(t.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
-def _conv_reference(x, w, b, g):
-    """Direct einsum convolution: output and the gradients of <output, g>."""
+def _conv_reference(x, w, b, g=None):
+    """Direct einsum convolution: output and the gradients of <output, g>,
+    or the output alone without ``g``."""
     kh, kw = w.shape[2:]
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     out = np.einsum("ncijpq,ocpq->noij", windows, w) + b[:, None, None]
+    if g is None:
+        return out
     gw = np.einsum("noij,ncijpq->ocpq", g, windows)
     gx = np.zeros_like(x)
     oh, ow = out.shape[2:]
@@ -118,6 +125,12 @@ def _channel_major(a):
     return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
 
 
+def _conv_layout(a):
+    """The same values as ``a`` (N, C, H, W), stored (C, H, N, W) as
+    ``conv2d`` stores its output."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3)
+
+
 def _assert_close(actual, expected, rtol=1e-12):
     scale = max(np.abs(expected).max(), 1e-300)
     assert np.abs(actual - expected).max() <= rtol * scale
@@ -127,19 +140,20 @@ def _assert_close(actual, expected, rtol=1e-12):
 @pytest.mark.parametrize("seed", range(4))
 def test_conv2d_matches_einsum_across_ragged_blocks(monkeypatch, seed, x_grad):
     """Blocks of 3 instances (the last one ragged) give the direct
-    convolution and its gradients, for contiguous and channel-major inputs."""
+    convolution and its gradients, for contiguous, channel-major and
+    conv-output-stored inputs."""
     rng = np.random.default_rng(seed)
     n = 3 * int(rng.integers(1, 4)) + int(rng.integers(1, 3))
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     h, w = kh + int(rng.integers(0, 6)), kw + int(rng.integers(0, 6))
     oh, ow = h - kh + 1, w - kw + 1
-    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 3 * 8 * cin * kh * kw * oh * ow)
+    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 3 * 8 * cin * kw * h * ow)
     x0 = rng.normal(size=(n, cin, h, w))
     w0, b0 = rng.normal(size=(cout, cin, kh, kw)), rng.normal(size=cout)
     g = rng.normal(size=(n, cout, oh, ow))
     out_ref, gx_ref, gw_ref, gb_ref = _conv_reference(x0, w0, b0, g)
-    for data in (x0, _channel_major(x0)):
+    for data in (x0, _channel_major(x0), _conv_layout(x0)):
         x = Tensor(data, requires_grad=x_grad)
         wt, bt = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
         out = conv2d(x, wt, bt)
@@ -153,35 +167,36 @@ def test_conv2d_matches_einsum_across_ragged_blocks(monkeypatch, seed, x_grad):
             assert x.grad is None
 
 
-def _slice_copy_columns(xb, kh, kw):
-    """The im2col that ``_columns`` replaced: kh*kw slice copies into rows (c, p, q)."""
+def _slice_copy_windows(xb, kw):
+    """The width windows by kw slice copies into rows (c, q), columns (h, n, j)."""
     m, cin, h, w = xb.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    cols = np.empty((cin, kh, kw, m, oh, ow))
-    xc = xb.transpose(1, 0, 2, 3)
-    for p in range(kh):
-        for q in range(kw):
-            cols[:, p, q] = xc[:, :, p:p + oh, q:q + ow]
-    return cols.reshape(cin * kh * kw, m * oh * ow)
+    ow = w - kw + 1
+    cols = np.empty((cin, kw, h, m, ow))
+    xc = xb.transpose(1, 2, 0, 3)
+    for q in range(kw):
+        cols[:, q] = xc[..., q:q + ow]
+    return cols.reshape(cin * kw, h * m * ow)
 
 
 @settings(deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), cin=st.integers(1, 4),
        k=st.sampled_from([3, 5]), extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-       channel_major=st.booleans())
-def test_columns_equal_the_slice_copy_loop(seed, m, cin, k, extra, channel_major):
-    """The sliding-window im2col gives the slice-copy loop's matrix exactly,
-    for contiguous and channel-major blocks and both kernel sizes."""
+       layout=st.sampled_from([None, _channel_major, _conv_layout]))
+def test_windows_equal_the_slice_copy_loop(seed, m, cin, k, extra, layout):
+    """The sliding-window lowering gives the slice-copy loop's matrix
+    exactly, for contiguous, channel-major and (C, H, N, W)-stored blocks
+    and both kernel sizes."""
     x0 = np.random.default_rng(seed).normal(size=(m, cin, k + extra[0], k + extra[1]))
-    xb = _channel_major(x0) if channel_major else x0
-    cols = _columns(xb, k, k)
+    xb = layout(x0) if layout else x0
+    cols = _windows(xb, k)
     assert cols.flags.c_contiguous
-    assert np.array_equal(cols, _slice_copy_columns(xb, k, k))
+    assert np.array_equal(cols, _slice_copy_windows(xb, k))
 
 
 def test_conv2d_multi_block_finite_differences(monkeypatch):
+    """Blocks of 2 instances (2, 2 and 1) of a 3x3 conv on 6x6 inputs."""
     rng = np.random.default_rng(7)
-    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 2 * 8 * 2 * 3 * 3 * 4 * 4)
+    monkeypatch.setattr(autodiff, "CONV_BLOCK_BYTES", 2 * 8 * 2 * 3 * 6 * 4)
     x0, w0, b0 = rng.normal(size=(5, 2, 6, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
     v = Tensor(rng.normal(size=5 * 3 * 4 * 4))
     tensors = [Tensor(a, requires_grad=True) for a in (x0, w0, b0)]
@@ -245,12 +260,15 @@ def test_message_mean_keeps_no_rows_by_hidden_array():
     assert peak < 8 * rows * width / 2
 
 
-def _pool_oracle(x, g):
-    """Window-last reshape and argmax pooling: output and input gradient."""
+def _pool_oracle(x, g=None):
+    """Window-last reshape and argmax pooling: output and input gradient,
+    or the output alone without ``g``."""
     n, c, h, w = x.shape
     r = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
         n, c, h // 2, w // 2, 4)
     idx = r.argmax(axis=-1)[..., None]
+    if g is None:
+        return np.take_along_axis(r, idx, axis=-1)[..., 0]
     gr = np.zeros(r.shape)
     np.put_along_axis(gr, idx, g[..., None], axis=-1)
     gx = gr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
@@ -283,6 +301,46 @@ def test_maxpool_matches_argmax_pooling_bit_for_bit(seed, shape, kind, channel_m
     _assert_same_bits(out.data, out_ref)
     backward(matmul(flatten(out), Tensor(g.reshape(-1))))
     _assert_same_bits(x.grad, np.zeros_like(x0) + gx_ref)
+
+
+def test_spatial_stack_matches_einsum_on_a_dense_scene():
+    """``spatial_features`` at default ``Dims`` on every ordered pair of a
+    17-proposal scene, ragged across the blocks of both convs, matches
+    einsum conv, ReLU, argmax pooling, conv, ReLU: the output and all four
+    conv parameter gradients.  ReLU and pooling keep the (C, H, N, W)
+    storage that ``conv2d`` hands them."""
+    dims = Dims(n_classes=7, n_predicates=6)
+    scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
+    masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
+    n = len(masks)
+    for cin, side, k in ((2, dims.mask_res, 5), (dims.conv1_channels, dims.pooled_res, 3)):
+        step = autodiff.CONV_BLOCK_BYTES // (8 * cin * k * side * (side - k + 1))
+        assert n > step and n % step  # the instances per block conv2d takes
+    rng = np.random.default_rng(3)
+    params = init_relfeat_params(dims, rng)
+    for t in params.tensors():
+        t.data += rng.normal(0.0, 0.05, t.data.shape)  # biases off zero
+    g = rng.normal(size=(n, dims.spatial_len))
+    out = spatial_features(masks, params)
+    backward(matmul(flatten(out), Tensor(g.reshape(-1))))
+
+    w1, b1, w2, b2 = (t.data for t in (params.conv1_w, params.conv1_b,
+                                       params.conv2_w, params.conv2_b))
+    a1 = _conv_reference(masks, w1, b1)
+    h1 = np.maximum(a1, 0.0)
+    p1 = _pool_oracle(h1)
+    a2 = _conv_reference(p1, w2, b2)
+    _assert_close(out.data, np.maximum(a2, 0.0).reshape(n, -1))
+    _, gp1, gw2, gb2 = _conv_reference(p1, w2, b2, g.reshape(a2.shape) * (a2 > 0))
+    _, _, gw1, gb1 = _conv_reference(masks, w1, b1, _pool_oracle(h1, gp1)[1] * (a1 > 0))
+    for t, expect in ((params.conv1_w, gw1), (params.conv1_b, gb1),
+                      (params.conv2_w, gw2), (params.conv2_b, gb2)):
+        _assert_close(t.grad, expect)
+
+    c1 = conv2d(Tensor(masks), params.conv1_w, params.conv1_b)
+    pooled = maxpool2d(relu(c1))
+    for t in (c1, relu(c1), pooled, relu(conv2d(pooled, params.conv2_w, params.conv2_b))):
+        assert t.data.transpose(1, 2, 0, 3).flags.c_contiguous
 
 
 def test_relu_subgradient_zero_at_zero():
