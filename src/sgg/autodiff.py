@@ -3,9 +3,15 @@
 Values live in :class:`Tensor` objects.  Every operation computes its result
 eagerly and records a backward closure plus references to its inputs; the
 resulting implicit tape is replayed by :func:`backward` in exact reverse
-creation order.  The op zoo is only what the relation-graph pipeline needs:
-no general broadcasting (bias addition is its own op), no view ops, no
-higher order derivatives.  An op's result may still be a transposed view of
+creation order, over the nodes that have a backward.  Only leaves own a
+gradient buffer that grows in place: an interior node keeps the first
+gradient handed to it, uncopied, so no op's backward writes into the
+gradient it receives.  :class:`SgdMomentum` keeps the parameters it trains,
+and their gradients, as views of one flat buffer each.
+
+The op zoo is only what the relation-graph pipeline needs: no general
+broadcasting (bias addition is its own op), no view ops, no higher order
+derivatives.  An op's result may still be a transposed view of
 its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored as
 (Cout, oh, N, ow), ``relu`` and ``maxpool2d`` keep that layout, and it is
 the order (channel, row, instance, column) in which the next ``conv2d``
@@ -61,8 +67,9 @@ class Tensor:
 
     Leaves created with ``requires_grad=True`` get a zero gradient buffer up
     front, so parameters that never participate in a backward pass still
-    report a (zero) gradient.  Interior nodes allocate lazily during
-    backward.
+    report a (zero) gradient.  An interior node allocates none: its gradient
+    is the first array that backward hands it, and a later one replaces it
+    with a new sum, so it may share memory with another node's gradient.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_seq", "_parents", "_backward")
@@ -79,15 +86,17 @@ class Tensor:
     def _from_op(cls, data, parents, backward_fn) -> "Tensor":
         out = cls.__new__(cls)
         out.data = np.asarray(data, dtype=np.float64)
-        out.requires_grad = any(p.requires_grad for p in parents)
         out.grad = None
         out._seq = next(_SEQ)
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward_fn
-        else:
-            out._parents = ()
-            out._backward = None
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward_fn
+                return out
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
         return out
 
     def item(self) -> float:
@@ -98,38 +107,47 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # The one in-place rule: only a leaf's own gradient buffer is ever added
+    # to in place.  An interior node keeps the first ``g`` it is handed,
+    # uncopied, and a later one replaces it with a new sum; ``g`` may be
+    # another node's gradient or a view of one, so no backward may write into
+    # the ``g`` it receives.
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t._backward is None:
+        t.grad += g
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through every node reachable from ``loss``.
 
-    Nodes are visited in exact reverse creation order, which is a valid
+    The walk collects only the nodes that have a backward, keyed by their
+    creation number, and runs them in reverse creation order, a valid
     reverse topological order because operands always predate their result.
-    Gradients accumulate; callers zero them between steps.
+    Leaf gradients accumulate; callers zero them between steps.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    nodes: list[Tensor] = []
-    seen: set[int] = set()
-    stack = [loss]
+    nodes: dict[int, Tensor] = {}
+    stack = [loss] if loss._backward is not None else []
     while stack:
         t = stack.pop()
-        if id(t) in seen:
+        if t._seq in nodes:
             continue
-        seen.add(id(t))
-        nodes.append(t)
-        stack.extend(t._parents)
-    nodes.sort(key=lambda t: t._seq, reverse=True)
+        nodes[t._seq] = t
+        for p in t._parents:
+            if p._backward is not None:
+                stack.append(p)
     _accumulate(loss, np.ones(()))
-    for t in nodes:
-        if t._backward is not None and t.grad is not None:
+    for seq in sorted(nodes, reverse=True):
+        t = nodes[seq]
+        if t.grad is not None:
             t._backward(t.grad)
 
 
@@ -405,13 +423,18 @@ def _windows(xb: np.ndarray, kw: int) -> np.ndarray:
     """Width-only lowering of a block (m, Cin, H, W): (Cin*kw, H*m*ow).
 
     Row (c, q) holds the q-shifted width windows of channel c, input row
-    major, then instance, then output column: one copy of the block's
-    sliding-window view along the width.  Input rows p .. p+oh-1 of every
-    instance are then the contiguous columns p*m*ow .. (p+oh)*m*ow.
+    major, then instance, then output column.  The (Cin, kw, H, m, ow)
+    buffer is filled by kw slice copies, one per shift q, each of the
+    block's columns q .. q+ow-1.  Input rows p .. p+oh-1 of every instance
+    are then the contiguous columns p*m*ow .. (p+oh)*m*ow.
     """
-    win = np.lib.stride_tricks.sliding_window_view(xb, kw, axis=3)
-    return np.ascontiguousarray(win.transpose(1, 4, 2, 0, 3)).reshape(
-        xb.shape[1] * kw, -1)
+    m, cin, h, wd = xb.shape
+    ow = wd - kw + 1
+    cols = np.empty((cin, kw, h, m, ow))
+    xt = xb.transpose(1, 2, 0, 3)
+    for q in range(kw):
+        cols[:, q] = xt[..., q:q + ow]
+    return cols.reshape(cin * kw, -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -606,8 +629,17 @@ def schedule_lr(base_lr: float, epoch: int) -> float:
 class SgdMomentum:
     """SGD with classical momentum: v <- m*v + g; p <- p - lr*v.
 
-    Gradients are zeroed after each step.  ``set_epoch`` applies the step
-    decay schedule to the stored learning rate.
+    The optimizer owns three flat buffers, ``data``, ``grad`` and
+    ``velocity``, one float per parameter entry in the order given.  On
+    construction it copies each parameter's data and gradient into its
+    range and rebinds ``p.data`` and ``p.grad`` as views of them, so a
+    tensor follows the last optimizer built over it; ``step`` is four vector
+    ops over all parameters.  The buffers are built tensor by tensor, each
+    old array released as its tensor is rebound, and the velocity last: the
+    build peaks at three floats per entry, what ``Dims`` budgets for
+    parameters, gradients and momenta.  Gradients are zeroed after each
+    step.  ``set_epoch`` applies the step decay schedule to the stored
+    learning rate.
     """
 
     def __init__(self, params, lr: float = 5e-3, momentum: float = 0.9):
@@ -615,20 +647,37 @@ class SgdMomentum:
         for p in self.params:
             if not isinstance(p, Tensor) or not p.requires_grad or p.grad is None:
                 raise ValueError("optimizer parameters must be trainable tensors with gradients")
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("optimizer parameters must be distinct tensors")
+        size = sum(p.data.size for p in self.params)
+        self.data = self._flatten("data", size)
+        self.grad = self._flatten("grad", size)
+        self.velocity = np.zeros(size)
         self.base_lr = float(lr)
         self.lr = float(lr)
         self.momentum = float(momentum)
+
+    def _flatten(self, attr: str, size: int) -> np.ndarray:
+        """Copy each parameter's ``attr`` array into one flat buffer and
+        rebind it as a view of its range."""
+        flat = np.empty(size)
+        lo = 0
+        for p in self.params:
+            arr = getattr(p, attr)
+            view = flat[lo:lo + arr.size].reshape(arr.shape)
+            view[...] = arr
+            setattr(p, attr, view)
+            lo += arr.size
+        return flat
 
     def set_epoch(self, epoch: int) -> None:
         self.lr = schedule_lr(self.base_lr, int(epoch))
 
     def step(self) -> None:
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
-            p.grad[...] = 0.0
+        self.velocity *= self.momentum
+        self.velocity += self.grad
+        self.data -= self.lr * self.velocity
+        self.grad[...] = 0.0
 
 
 def finite_difference_check(f, x, eps: float = 1e-5) -> float:

@@ -15,9 +15,10 @@ from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segmen
                           finite_difference_check_params, flatten, gather_rows,
                           glorot_uniform, matmul, maxpool2d, message_mean, relu, schedule_lr,
                           segment_mean, softmax)
-from sgg.config import Dims
+from sgg.config import Dims, ModelConfig
 from sgg.filter import ordered_pairs
-from sgg.gradcheck import check_all_ops
+from sgg.gradcheck import _away_from_zero, check_all_ops
+from sgg.model import init_model_params
 from sgg.relation_features import init_relfeat_params, pair_geometry, spatial_features
 from sgg.synthetic import SynthConfig, generate_dataset
 
@@ -183,14 +184,17 @@ def _slice_copy_windows(xb, kw):
        k=st.sampled_from([3, 5]), extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
        layout=st.sampled_from([None, _channel_major, _conv_layout]))
 def test_windows_equal_the_slice_copy_loop(seed, m, cin, k, extra, layout):
-    """The sliding-window lowering gives the slice-copy loop's matrix
-    exactly, for contiguous, channel-major and (C, H, N, W)-stored blocks
-    and both kernel sizes."""
+    """The width-only lowering gives the slice-copy loop's matrix exactly,
+    and the same matrix as one copy of the sliding-window view, for
+    contiguous, channel-major and (C, H, N, W)-stored blocks and both kernel
+    sizes."""
     x0 = np.random.default_rng(seed).normal(size=(m, cin, k + extra[0], k + extra[1]))
     xb = layout(x0) if layout else x0
     cols = _windows(xb, k)
     assert cols.flags.c_contiguous
     assert np.array_equal(cols, _slice_copy_windows(xb, k))
+    win = np.lib.stride_tricks.sliding_window_view(xb, k, axis=3)
+    assert np.array_equal(cols, win.transpose(1, 4, 2, 0, 3).reshape(cin * k, -1))
 
 
 def test_conv2d_multi_block_finite_differences(monkeypatch):
@@ -410,6 +414,72 @@ def test_backward_requires_scalar():
         backward(relu(x))
 
 
+def _leaf(rng, *shape):
+    return Tensor(_away_from_zero(rng, shape), requires_grad=True)
+
+
+def _message(rng, relu_out):
+    return message_mean(_leaf(rng, 3, 2), [0, 0, 2, 2, 2], _leaf(rng, 4, 3), [1, 3, 0, 3, 3],
+                        _leaf(rng, 5, 4), _leaf(rng, 4), _leaf(rng, 4, 3), _leaf(rng, 3),
+                        relu_out=relu_out)
+
+
+# every op once, on trainable operands: name -> rng -> result
+EVERY_OP = {
+    "add": lambda r: add(_leaf(r, 3, 4), _leaf(r, 3, 4)),
+    "add_bias": lambda r: add_bias(_leaf(r, 3, 4), _leaf(r, 4)),
+    "matmul": lambda r: matmul(_leaf(r, 3, 4), _leaf(r, 4, 2)),
+    "matmul_vectors": lambda r: matmul(_leaf(r, 5), _leaf(r, 5)),
+    "concat_cols": lambda r: concat_cols([_leaf(r, 3, 2), _leaf(r, 3, 4)]),
+    "relu": lambda r: relu(_leaf(r, 3, 4)),
+    "gather_rows": lambda r: gather_rows(_leaf(r, 4, 3), [0, 2, 2, 1, 0]),
+    "segment_mean": lambda r: segment_mean(_leaf(r, 5, 3), [0, 0, 2, 2, 2], 4),
+    "message_mean": lambda r: _message(r, relu_out=True),
+    "message_mean_linear_out": lambda r: _message(r, relu_out=False),
+    "conv2d": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3)),
+    "maxpool2d": lambda r: maxpool2d(_leaf(r, 1, 2, 4, 4)),
+    "flatten": lambda r: flatten(_leaf(r, 2, 3, 2), 1),
+    "softmax": lambda r: softmax(_leaf(r, 3, 4)),
+    "cross_entropy_with_softmax": lambda r: cross_entropy_with_softmax(_leaf(r, 4, 3),
+                                                                       [0, 2, 1, 1]),
+    "binary_logistic_loss": lambda r: binary_logistic_loss(_leaf(r, 6), [0, 1, 1, 0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(EVERY_OP))
+def test_no_backward_writes_into_its_incoming_gradient(op):
+    """An interior node keeps the first gradient it is handed, uncopied, so
+    every op's backward must run on a read-only gradient."""
+    rng = np.random.default_rng(5)
+    out = EVERY_OP[op](rng)
+    g = rng.normal(size=out.data.shape)
+    g.setflags(write=False)
+    out._backward(g)
+    assert all(np.isfinite(p.grad).all() for p in out._parents)
+
+
+def test_a_handed_over_gradient_survives_a_later_sum():
+    """``add`` hands one array to the interior nodes ``a`` and ``b``; ``a``
+    then receives a second gradient from an op created before the add.  The
+    sum must not land in ``b``'s gradient, so the leaf gradient still
+    matches finite differences."""
+    rng = np.random.default_rng(6)
+    c, v, u = rng.normal(size=4), rng.normal(size=12), rng.normal(size=12)
+    nodes = {}
+
+    def f(x):
+        a, b = relu(x), add_bias(x, Tensor(c))
+        t = softmax(a)  # created before the add, so its backward runs after it
+        s = add(a, b)
+        nodes.update(a=a, b=b, s=s)
+        return add(matmul(flatten(s), Tensor(v)), matmul(flatten(t), Tensor(u)))
+
+    assert finite_difference_check(f, _away_from_zero(rng, (3, 4))) < 1e-6
+    a, b, s = nodes["a"], nodes["b"], nodes["s"]
+    assert b.grad is s.grad  # handed over, uncopied
+    assert not np.shares_memory(a.grad, s.grad)  # the later sum is a new array
+
+
 # ---------------------------------------------------------------------------
 # error contracts
 
@@ -474,6 +544,79 @@ def test_step_zeroes_grads():
 def test_optimizer_rejects_non_trainable():
     with pytest.raises(ValueError):
         SgdMomentum([Tensor(np.zeros(2))])
+
+
+def test_optimizer_rejects_a_tensor_listed_twice():
+    p = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError, match="distinct"):
+        SgdMomentum([p, Tensor(np.zeros(3), requires_grad=True), p])
+
+
+def _main_params():
+    dims = Dims(n_classes=6, n_predicates=4)
+    return dims, init_model_params(ModelConfig(dims=dims), seed=0).trainable()
+
+
+def test_parameters_are_views_of_the_optimizer_buffers():
+    """Building the optimizer keeps every value and rebinds each parameter's
+    data and gradient onto the flat buffers, in order."""
+    _, params = _main_params()
+    rng = np.random.default_rng(0)
+    for p in params:
+        p.grad[...] = rng.normal(size=p.grad.shape)
+    before = [(p.data.copy(), p.grad.copy()) for p in params]
+    opt = SgdMomentum(params)
+    lo = 0
+    for p, (data, grad) in zip(params, before):
+        hi = lo + data.size
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+        assert np.array_equal(opt.data[lo:hi], data.ravel())
+        assert np.array_equal(opt.grad[lo:hi], grad.ravel())
+        assert p.data.shape == data.shape and p.grad.shape == grad.shape
+        lo = hi
+    assert lo == opt.data.size == opt.grad.size == opt.velocity.size
+
+
+def test_flat_step_equals_the_per_tensor_loop_bit_for_bit():
+    """Three steps, the last after a learning-rate decay, against the
+    per-tensor update on separate arrays."""
+    rng = np.random.default_rng(1)
+    shapes = [(3, 4), (4,), (2, 3, 5), ()]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    ref_v = [np.zeros(s) for s in shapes]
+    opt = SgdMomentum(params, lr=0.03, momentum=0.9)
+    for epoch in (1, 2, 11):
+        opt.set_epoch(epoch)
+        for p, d, v in zip(params, ref, ref_v):
+            g = rng.normal(size=d.shape)
+            p.grad[...] = g
+            v *= opt.momentum
+            v += g
+            d -= opt.lr * v
+        opt.step()
+        for p, d in zip(params, ref):
+            _assert_same_bits(p.data, d)
+            assert not p.grad.any()
+
+
+def test_building_the_optimizer_stays_within_the_dims_budget():
+    """``Dims`` budgets three floats per parameter entry for parameters,
+    gradients and momenta.  The parameters and gradients already hold two,
+    so building the optimizer may add only one more at its peak: the flat
+    buffers are filled tensor by tensor and the velocity comes last."""
+    tracemalloc.start()
+    try:
+        dims, params = _main_params()
+        n = sum(p.data.size for p in params)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        SgdMomentum(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n <= dims.param_count
+    assert 2 * 8 * n + (peak - held) <= 3 * 8 * n + 1024 * len(params)
 
 
 def test_lr_schedule_decay_points():
