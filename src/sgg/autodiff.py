@@ -21,9 +21,10 @@ Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
 
 The ops: ``add``, ``add_bias``, ``matmul`` (matrix @ matrix or vector ·
-vector), ``concat_cols``, ``relu``, ``gather_rows``, ``segment_mean``,
-``message_mean`` (one fused target-tailored message direction:
-split-first-layer MLP over [target; source] rows, then the mean per
+vector), ``concat_cols``, ``relu`` (backward reads its output, so it keeps
+no mask), ``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
+target-tailored message direction: a two-layer MLP with a ReLU after each
+layer over [target; source] rows, its first layer split, then the mean per
 target; the rows run in blocks of about ``MESSAGE_BLOCK_BYTES`` of hidden
 layer that each end on a target boundary, and backward recomputes a block's
 hidden layer from the kept per-target and per-source projections, so memory
@@ -214,12 +215,13 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 is 0
+    out = np.maximum(x.data, 0.0)
 
     def back(g):
-        _accumulate(x, g * mask)
+        # out > 0 exactly where x > 0, so the tape keeps no mask; subgradient at 0 is 0
+        _accumulate(x, g * (out > 0))
 
-    return Tensor._from_op(np.maximum(x.data, 0.0), (x,), back)
+    return Tensor._from_op(out, (x,), back)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -323,14 +325,13 @@ def _row_blocks(t: np.ndarray, step: int) -> list[slice]:
 
 
 def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, relu_out: bool) -> Tensor:
+                 w2: Tensor, b2: Tensor) -> Tensor:
     """Per-target mean of a two-layer MLP over [target; source] message rows.
 
     Row r reads target ``t_idx[r]`` of ``x_t`` and source ``s_idx[r]`` of
     ``x_s``; output row i is the mean over the rows with ``t_idx == i`` (a
     zero row when there are none).  ``t_idx`` must be sorted.  It equals
-    ``segment_mean`` of the MLP (ReLU between the layers, optionally after
-    the second) on
+    ``segment_mean`` of the MLP (a ReLU after each of the two layers) on
     ``concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])``,
     but the first layer is split,
     ``[x_t[t]; x_s[s]] w1 + b1 = (x_t w1[:d_t] + b1)[t] + (x_s w1[d_t:])[s]``,
@@ -339,12 +340,12 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
     The rows run in blocks of about ``MESSAGE_BLOCK_BYTES`` of hidden layer
     that each end on a target boundary, so every target is summed inside one
     block in row order and the output does not depend on the block size.
-    The op keeps the two projections and, after a ReLU output, each block's
-    bool mask of positive outputs; backward recomputes a block's hidden
-    layer from the projections with two row gathers, and sums the row
-    gradients onto targets and sources block by block before it multiplies
-    by ``w1`` and the inputs.  Memory is O((targets + sources) x hidden +
-    one block), plus one mask byte per row and output column.
+    The op keeps the two projections and each block's bool mask of positive
+    outputs; backward recomputes a block's hidden layer from the projections
+    with two row gathers, and sums the row gradients onto targets and sources
+    block by block before it multiplies by ``w1`` and the inputs.  Memory is
+    O((targets + sources) x hidden + one block), plus one mask byte per row
+    and output column.
     """
     if x_t.data.ndim != 2 or x_s.data.ndim != 2:
         raise ShapeError("message_mean: targets and sources must be matrices")
@@ -383,9 +384,8 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
     for blk in blocks:
         z2 = hidden_layer(blk) @ w2.data
         z2 += b2.data
-        if relu_out:
-            masks.append(z2 > 0)
-            np.maximum(z2, 0.0, out=z2)
+        masks.append(z2 > 0)
+        np.maximum(z2, 0.0, out=z2)
         into_targets(out, z2, blk)
     denom = np.maximum(np.bincount(t, minlength=n_t), 1).astype(np.float64)[:, None]
     out /= denom
@@ -396,8 +396,7 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
         for k, blk in enumerate(blocks):
             h1 = hidden_layer(blk)
             gz2 = gd.take(t[blk], axis=0)
-            if relu_out:
-                gz2 *= masks[k]
+            gz2 *= masks[k]
             _accumulate(w2, h1.T @ gz2)
             _accumulate(b2, gz2.sum(axis=0))
             gz1 = gz2 @ w2.data.T

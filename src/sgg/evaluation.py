@@ -25,11 +25,9 @@ from .config import ModelConfig
 from .filter import gt_overlaps
 from .inference import PredictedGraph
 from .model import ModelParams, predict_scene
-from .scenes import Box, ObjectProposal, SceneRecord, iou, one_hot
+from .scenes import IOU_THRESHOLD, Box, ObjectProposal, SceneRecord, iou, one_hot
 
 MODES = ("sggen", "sgcls", "predcls")
-# a box matches a gt box when their IoU exceeds this, in triplet recall and in mAP
-IOU_THRESHOLD = 0.5
 
 
 class EvalTriplet(NamedTuple):

@@ -14,7 +14,7 @@ import numpy as np
 from .autodiff import Tensor, _stable_sigmoid, binary_logistic_loss, flatten
 from .config import Dims
 from .nn import TwoLayerMlp, make_mlp
-from .scenes import EmbeddingTable, SceneRecord, iou, pair_index, union_frame
+from .scenes import IOU_THRESHOLD, EmbeddingTable, SceneRecord, iou, pair_index, union_frame
 
 
 def init_srf_params(dims: Dims, rng: np.random.Generator) -> TwoLayerMlp:
@@ -86,7 +86,7 @@ def matched_triplets(scene: SceneRecord, pairs: list[tuple[int, int]],
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
-def srf_training_labels(scene: SceneRecord, iou_threshold: float = 0.5,
+def srf_training_labels(scene: SceneRecord, iou_threshold: float = IOU_THRESHOLD,
                         ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Label every ordered proposal pair 1 iff it localizes some gt triplet."""
     pairs = ordered_pairs(scene.n_proposals)

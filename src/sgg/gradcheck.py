@@ -18,7 +18,7 @@ from .autodiff import (Tensor, add, add_bias, binary_logistic_loss, concat_cols,
                        maxpool2d, message_mean, relu, segment_mean, softmax)
 from .config import Dims, ModelConfig
 from .model import init_model_params
-from .scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet
+from .scenes import IOU_THRESHOLD, Box, GtObject, ObjectProposal, SceneRecord, Triplet
 from .training import prepare_scene, scene_loss
 
 
@@ -75,8 +75,7 @@ def check_all_ops(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     for k, x0 in enumerate(mm):
         def build(x, k=k):
             a = [x if i == k else Tensor(v) for i, v in enumerate(mm)]
-            return message_mean(a[0], [0, 0, 2, 2, 2], a[1], [1, 3, 0, 3, 3], *a[2:],
-                                relu_out=True)
+            return message_mean(a[0], [0, 0, 2, 2, 2], a[1], [1, 3, 0, 3, 3], *a[2:])
 
         check("message_mean", build, x0)
 
@@ -140,7 +139,7 @@ def pipeline_gradient_check(seed: int = 0, eps: float = 1e-5) -> float:
         t.data += rng.normal(0.0, 0.05, t.data.shape)
 
     prep = prepare_scene(_pipeline_scene(rng, config.dims), params, config,
-                         match_iou=0.5)
+                         match_iou=IOU_THRESHOLD)
     rel_rows = np.arange(prep.rel_targets.size)
 
     def loss_fn():

@@ -2,22 +2,13 @@
 
 Every message is produced by a transformation conditioned on the target as
 well as the source: the source features are concatenated with the target's
-and pushed through a per-direction two-layer MLP (ReLU after each layer).
-The four directions are object-to-object, relation-to-object,
-object-to-relation, and relation-to-relation.  Updates are residual with a
-ReLU on top, aggregations are plain means over the neighbor sets, and empty
-neighbor sets contribute nothing.
-
-Each direction is one ``autodiff.message_mean`` op.  It splits the first
-layer, ``[x_t; x_s] W1 + b1 = (x_t W1[:d_t] + b1)[t] + (x_s W1[d_t:])[s]``,
-which is the same maths as the concatenation but projects every object or
-relation once rather than once per message row.  Relation-to-relation rows
-grow as n^3 in the proposal count n, so the op runs its rows in blocks and
-recomputes each block's hidden layer in backward: its memory grows with the
-targets and sources (n^2 relations) plus one block, and only a one-byte
-mask per row and output column grows with the rows.  The index arrays are sorted by target, as
-the op requires.  The ``oo`` direction reads the language channels as part
-of each object's row, ``[x_obj, e_lang]``.
+and pushed through a per-direction two-layer MLP (ReLU after each layer),
+one ``autodiff.message_mean`` op per direction.  The four directions are
+object-to-object, relation-to-object, object-to-relation, and
+relation-to-relation.  Updates are residual with a ReLU on top,
+aggregations are plain means over the neighbor sets, and empty neighbor
+sets contribute nothing.  The ``oo`` direction reads the language channels
+as part of each object's row, ``[x_obj, e_lang]``.
 
 Within one iteration objects update first and the relation sweep reads the
 refreshed object features; relation-to-relation messages still read the
@@ -42,7 +33,9 @@ from .nn import ParamGroup, TwoLayerMlp, make_mlp
 
 @dataclass
 class TtstParams(ParamGroup):
-    """One transformation MLP per message direction."""
+    """One transformation MLP per message direction, applied only by
+    ``message_mean`` (a ReLU after both layers); called directly, one gives
+    the linear output of ``TwoLayerMlp``."""
 
     obj_to_obj: TwoLayerMlp = field(metadata={"name": "oo"})
     rel_to_obj: TwoLayerMlp = field(metadata={"name": "ro"})
@@ -54,12 +47,10 @@ def init_ttst_params(dims: Dims, rng: np.random.Generator,
                      use_language: bool = True) -> TtstParams:
     d_pair = 2 * (dims.d_obj + dims.d_emb) if use_language else 2 * dims.d_obj
     return TtstParams(
-        obj_to_obj=make_mlp(rng, d_pair, dims.d_obj, dims.d_obj, relu_out=True),
-        rel_to_obj=make_mlp(rng, dims.d_obj + dims.d_rel, dims.d_obj, dims.d_obj,
-                            relu_out=True),
-        obj_to_rel=make_mlp(rng, dims.d_rel + dims.d_obj, dims.d_rel, dims.d_rel,
-                            relu_out=True),
-        rel_to_rel=make_mlp(rng, 2 * dims.d_rel, dims.d_rel, dims.d_rel, relu_out=True),
+        obj_to_obj=make_mlp(rng, d_pair, dims.d_obj, dims.d_obj),
+        rel_to_obj=make_mlp(rng, dims.d_obj + dims.d_rel, dims.d_obj, dims.d_obj),
+        obj_to_rel=make_mlp(rng, dims.d_rel + dims.d_obj, dims.d_rel, dims.d_rel),
+        rel_to_rel=make_mlp(rng, 2 * dims.d_rel, dims.d_rel, dims.d_rel),
     )
 
 
@@ -84,9 +75,6 @@ class MessageGraph:
     or_node: np.ndarray
     rr_tgt: np.ndarray
     rr_src: np.ndarray
-
-    def with_features(self, x_obj: Tensor, x_rel: Tensor) -> "MessageGraph":
-        return replace(self, x_obj=x_obj, x_rel=x_rel)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -136,36 +124,37 @@ def build_message_graph(x_obj: Tensor, e_lang: Tensor, x_rel: Tensor,
                         or_edge=or_edge, or_node=or_node, rr_tgt=rr_tgt, rr_src=rr_src)
 
 
-def _message_mean(mlp: TwoLayerMlp, x_t: Tensor, t_idx: np.ndarray, x_s: Tensor,
-                  s_idx: np.ndarray) -> Tensor:
-    return message_mean(x_t, t_idx, x_s, s_idx, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b,
-                        mlp.relu_out)
+def _residual_update(x: Tensor, directions: list[tuple], config: ModelConfig) -> Tensor:
+    """ReLU(x + the mean message of each enabled direction that has rows).
+
+    A direction is ``(name, mlp, x_t, t_idx, x_s, s_idx)``.  A list ``x_t``
+    is concatenated by column only if its direction runs, and is then read
+    as the sources too.
+    """
+    total = x
+    for name, mlp, x_t, t_idx, x_s, s_idx in directions:
+        if name in config.directions and t_idx.size:
+            if isinstance(x_t, list):
+                x_t = x_s = concat_cols(x_t)
+            total = add(total, message_mean(x_t, t_idx, x_s, s_idx,
+                                            mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b))
+    return relu(total)
 
 
 def update_objects(g: MessageGraph, params: TtstParams, config: ModelConfig) -> Tensor:
     """One object sweep: x_i <- ReLU(x_i + mean oo messages + mean ro messages)."""
-    total = g.x_obj
-    if "oo" in config.directions and g.oo_tgt.size:
-        x = concat_cols([g.x_obj, g.e_lang]) if config.use_language else g.x_obj
-        total = add(total, _message_mean(params.obj_to_obj, x, g.oo_tgt, x, g.oo_src))
-    if "ro" in config.directions and g.ro_node.size:
-        total = add(total, _message_mean(params.rel_to_obj, g.x_obj, g.ro_node,
-                                         g.x_rel, g.ro_edge))
-    return relu(total)
+    x_oo = [g.x_obj, g.e_lang] if config.use_language else g.x_obj
+    return _residual_update(g.x_obj, [
+        ("oo", params.obj_to_obj, x_oo, g.oo_tgt, x_oo, g.oo_src),
+        ("ro", params.rel_to_obj, g.x_obj, g.ro_node, g.x_rel, g.ro_edge)], config)
 
 
 def update_relations(g: MessageGraph, x_obj_new: Tensor, params: TtstParams,
                      config: ModelConfig) -> Tensor:
     """One relation sweep reading the refreshed object features."""
-    total = g.x_rel
-    if "or" in config.directions and g.or_edge.size:
-        # every edge has exactly two endpoints, so the mean is the half-sum
-        total = add(total, _message_mean(params.obj_to_rel, g.x_rel, g.or_edge,
-                                         x_obj_new, g.or_node))
-    if "rr" in config.directions and g.rr_tgt.size:
-        total = add(total, _message_mean(params.rel_to_rel, g.x_rel, g.rr_tgt,
-                                         g.x_rel, g.rr_src))
-    return relu(total)
+    return _residual_update(g.x_rel, [
+        ("or", params.obj_to_rel, g.x_rel, g.or_edge, x_obj_new, g.or_node),
+        ("rr", params.rel_to_rel, g.x_rel, g.rr_tgt, g.x_rel, g.rr_src)], config)
 
 
 def run_message_passing(g: MessageGraph, params: TtstParams,
@@ -174,7 +163,7 @@ def run_message_passing(g: MessageGraph, params: TtstParams,
     for _ in range(config.iterations):
         x_new = update_objects(g, params, config)
         r_new = update_relations(g, x_new, params, config)
-        g = g.with_features(x_new, r_new)
+        g = replace(g, x_obj=x_new, x_rel=r_new)
     return g
 
 

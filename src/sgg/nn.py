@@ -12,7 +12,7 @@ from .autodiff import Tensor, add_bias, glorot_uniform, matmul, relu, zeros_para
 class ParamGroup:
     """A dataclass of parameters.  ``named`` walks its fields in order: a
     ``Tensor`` is one parameter, a ``ParamGroup`` adds its own below the
-    field's name, anything else (a flag, a table, ``None``) is skipped.  A
+    field's name, anything else (a table, ``None``) is skipped.  A
     field's ``metadata["name"]`` overrides its name.  Training and checkpoints
     read this one enumeration; field order is checkpoint order."""
 
@@ -48,19 +48,16 @@ def make_affine(rng: np.random.Generator, d_in: int, d_out: int) -> Affine:
 
 @dataclass
 class TwoLayerMlp(ParamGroup):
-    """Two affine layers with a ReLU between; optionally ReLU on the output."""
+    """Two affine layers with a ReLU between and a linear output.  The TTST
+    MLPs are applied only by ``autodiff.message_mean``, which also puts a
+    ReLU after the second layer; called directly, one gives the linear output."""
 
     l1: Affine
     l2: Affine
-    relu_out: bool = False
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = relu(self.l1(x))
-        out = self.l2(h)
-        return relu(out) if self.relu_out else out
+        return self.l2(relu(self.l1(x)))
 
 
-def make_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int,
-             relu_out: bool = False) -> TwoLayerMlp:
-    return TwoLayerMlp(make_affine(rng, d_in, d_hidden), make_affine(rng, d_hidden, d_out),
-                       relu_out=relu_out)
+def make_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> TwoLayerMlp:
+    return TwoLayerMlp(make_affine(rng, d_in, d_hidden), make_affine(rng, d_hidden, d_out))

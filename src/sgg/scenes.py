@@ -62,6 +62,11 @@ class Box:
         return [self.x, self.y, self.w, self.h]
 
 
+# a box matches a gt box when their IoU exceeds this: in triplet recall and
+# mAP, and for the training labels of the filter and the main model
+IOU_THRESHOLD = 0.5
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of closed boxes; touching edges count as 0 area."""
     iw = min(a.x2, b.x2) - max(a.x, b.x)

@@ -28,7 +28,7 @@ from .filter import gt_overlaps, init_srf_params, matched_triplets, ordered_pair
     srf_loss, srf_training_labels
 from .model import ModelParams, SceneInputs, forward, init_model_params, scene_inputs
 from .nn import TwoLayerMlp
-from .scenes import EmbeddingTable, SceneRecord
+from .scenes import IOU_THRESHOLD, EmbeddingTable, SceneRecord
 
 # Unused here: perfbench/tracer.py wraps these names in this module, so they must resolve.
 from .inference import object_logits, relation_logits  # noqa: F401,E402
@@ -44,7 +44,7 @@ class TrainConfig:
     momentum: float = ranged("[0, 1)", 0.9)
     seed: int = ranged("[0, inf)", 0)
     negative_ratio: float = ranged("[0, inf)", 3.0)
-    match_iou: float = ranged("(0, 1)", 0.5)
+    match_iou: float = ranged("(0, 1)", IOU_THRESHOLD)
 
     def __post_init__(self):
         check_fields(self)

@@ -239,7 +239,7 @@ def test_message_mean_multi_block_finite_differences(monkeypatch):
 
     def loss():
         x_t, x_s, *weights = tensors
-        return matmul(flatten(message_mean(x_t, t, x_s, s, *weights, relu_out=True)), v)
+        return matmul(flatten(message_mean(x_t, t, x_s, s, *weights)), v)
 
     assert finite_difference_check_params(loss, tensors) < 1e-6
 
@@ -257,7 +257,7 @@ def test_message_mean_keeps_no_rows_by_hidden_array():
     g = rng.normal(size=(n, width))
     tracemalloc.start()
     try:
-        message_mean(x, t, x, s, w1, b1, w2, b2, relu_out=True)._backward(g)
+        message_mean(x, t, x, s, w1, b1, w2, b2)._backward(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -348,9 +348,11 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
 
 
 def test_relu_subgradient_zero_at_zero():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-    backward(matmul(relu(x), Tensor(np.ones(3))))
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+    """Backward reads the output, so -0.0 and the smallest subnormals must
+    route as the input's sign would."""
+    x = Tensor(np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 2.0]), requires_grad=True)
+    backward(matmul(relu(x), Tensor(np.ones(6))))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def test_softmax_uniform_on_zeros():
@@ -418,10 +420,9 @@ def _leaf(rng, *shape):
     return Tensor(_away_from_zero(rng, shape), requires_grad=True)
 
 
-def _message(rng, relu_out):
+def _message(rng):
     return message_mean(_leaf(rng, 3, 2), [0, 0, 2, 2, 2], _leaf(rng, 4, 3), [1, 3, 0, 3, 3],
-                        _leaf(rng, 5, 4), _leaf(rng, 4), _leaf(rng, 4, 3), _leaf(rng, 3),
-                        relu_out=relu_out)
+                        _leaf(rng, 5, 4), _leaf(rng, 4), _leaf(rng, 4, 3), _leaf(rng, 3))
 
 
 # every op once, on trainable operands: name -> rng -> result
@@ -434,8 +435,7 @@ EVERY_OP = {
     "relu": lambda r: relu(_leaf(r, 3, 4)),
     "gather_rows": lambda r: gather_rows(_leaf(r, 4, 3), [0, 2, 2, 1, 0]),
     "segment_mean": lambda r: segment_mean(_leaf(r, 5, 3), [0, 0, 2, 2, 2], 4),
-    "message_mean": lambda r: _message(r, relu_out=True),
-    "message_mean_linear_out": lambda r: _message(r, relu_out=False),
+    "message_mean": _message,
     "conv2d": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3)),
     "maxpool2d": lambda r: maxpool2d(_leaf(r, 1, 2, 4, 4)),
     "flatten": lambda r: flatten(_leaf(r, 2, 3, 2), 1),
@@ -500,11 +500,11 @@ def test_shape_errors():
         cross_entropy_with_softmax(Tensor(np.zeros((2, 3))), [0])
     x, w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in ((2, 3), (6, 4), (4,), (4, 2), (2,)))
     with pytest.raises(ShapeError, match="out of range"):
-        message_mean(x, [0, 2], x, [1, 0], w1, b1, w2, b2, relu_out=True)
+        message_mean(x, [0, 2], x, [1, 0], w1, b1, w2, b2)
     with pytest.raises(ShapeError, match="do not fit"):
-        message_mean(x, [0, 1], x, [1, 0], w1, b1, b1, b2, relu_out=True)
+        message_mean(x, [0, 1], x, [1, 0], w1, b1, b1, b2)
     with pytest.raises(ShapeError, match="sorted"):
-        message_mean(x, [1, 0], x, [1, 0], w1, b1, w2, b2, relu_out=True)
+        message_mean(x, [1, 0], x, [1, 0], w1, b1, w2, b2)
 
 
 def test_nonfinite_leaf_rejected():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from sgg import autodiff
 from sgg.autodiff import (Tensor, backward, concat_cols, flatten, gather_rows, matmul,
-                          segment_mean)
+                          message_mean, relu, segment_mean)
 from sgg.config import ALL_DIRECTIONS, Dims, ModelConfig
-from sgg.message_passing import (BaselineParams, _message_mean, baseline_shared_update,
-                                 build_message_graph, init_baseline_params,
-                                 init_ttst_params, run_message_passing)
+from sgg.message_passing import (BaselineParams, baseline_shared_update, build_message_graph,
+                                 init_baseline_params, init_ttst_params, run_message_passing,
+                                 update_objects)
 from sgg.nn import make_mlp
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=5, d_emb=3, d_union=6, d_rel=4,
@@ -118,10 +118,15 @@ def test_vectorized_builder_matches_set_loops(case):
 # the fused message op against the composition it replaced
 
 
+def fused_message_mean(mlp, x_t, t_idx, x_s, s_idx):
+    return message_mean(x_t, t_idx, x_s, s_idx, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b)
+
+
 def composed_message_mean(mlp, x_t, t_idx, x_s, s_idx):
-    """Gather both ends, concatenate, run the MLP on every row, mean per target."""
+    """Gather both ends, concatenate, run the MLP and a ReLU on every row,
+    mean per target."""
     inp = concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])
-    return segment_mean(mlp(inp), t_idx, x_t.data.shape[0])
+    return segment_mean(relu(mlp(inp)), t_idx, x_t.data.shape[0])
 
 
 def direction_inputs(g):
@@ -158,15 +163,14 @@ def oracle_graphs():
                               Tensor(rng.normal(size=(len(edges), DIMS.d_rel))), edges, 5)
 
 
-@pytest.mark.parametrize("relu_out", [True, False])
-def test_message_mean_matches_the_composition(relu_out):
+def test_message_mean_matches_the_composition():
     rng = np.random.default_rng(62)
     for g in oracle_graphs():
         for x_t, t_idx, x_s, s_idx in direction_inputs(g):
             d_s = (x_t if x_s is None else x_s).shape[1]
-            mlp = make_mlp(rng, x_t.shape[1] + d_s, 6, 5, relu_out=relu_out)
+            mlp = make_mlp(rng, x_t.shape[1] + d_s, 6, 5)
             probe = rng.normal(size=(x_t.shape[0], 5))
-            fused = output_and_grads(_message_mean, mlp, x_t, t_idx, x_s, s_idx, probe)
+            fused = output_and_grads(fused_message_mean, mlp, x_t, t_idx, x_s, s_idx, probe)
             composed = output_and_grads(composed_message_mean, mlp, x_t, t_idx, x_s, s_idx,
                                         probe)
             for a, b in zip(fused, composed):
@@ -198,8 +202,7 @@ def blocked_cases():
     yield rng.normal(size=(6, 4)), t, rng.normal(size=(3, 2)), rng.integers(0, 3, t.size)
 
 
-@pytest.mark.parametrize("relu_out", [True, False])
-def test_blocked_message_mean_matches_one_block(monkeypatch, relu_out):
+def test_blocked_message_mean_matches_one_block(monkeypatch):
     """Blocks of three rows give the one-block output bit for bit, because
     each target is summed inside one block in row order, and the gradients
     of the composition."""
@@ -207,13 +210,13 @@ def test_blocked_message_mean_matches_one_block(monkeypatch, relu_out):
     hidden, multi = 6, 0
     for x_t, t_idx, x_s, s_idx in blocked_cases():
         d_s = (x_t if x_s is None else x_s).shape[1]
-        mlp = make_mlp(rng, x_t.shape[1] + d_s, hidden, 5, relu_out=relu_out)
+        mlp = make_mlp(rng, x_t.shape[1] + d_s, hidden, 5)
         probe = rng.normal(size=(x_t.shape[0], 5))
         args = (mlp, x_t, t_idx, x_s, s_idx, probe)
         monkeypatch.setattr(autodiff, "MESSAGE_BLOCK_BYTES", 8 * hidden * t_idx.size)
-        one = output_and_grads(_message_mean, *args)
+        one = output_and_grads(fused_message_mean, *args)
         monkeypatch.setattr(autodiff, "MESSAGE_BLOCK_BYTES", 8 * hidden * 3)
-        blocked = output_and_grads(_message_mean, *args)
+        blocked = output_and_grads(fused_message_mean, *args)
         composed = output_and_grads(composed_message_mean, *args)
         assert np.array_equal(blocked[0].view(np.int64), one[0].view(np.int64))
         for a, b in zip(blocked, composed):
@@ -221,6 +224,46 @@ def test_blocked_message_mean_matches_one_block(monkeypatch, relu_out):
             assert err <= 1e-12 * scale, (err, scale)
         multi += len(autodiff._row_blocks(t_idx, 3)) > 1
     assert multi >= 30
+
+
+def test_a_two_layer_mlp_called_directly_has_a_linear_output():
+    """The filter and the relation head call their MLPs and read linear
+    outputs; only ``message_mean`` puts a ReLU after the second layer."""
+    rng = np.random.default_rng(65)
+    mlp = make_mlp(rng, 4, 6, 3)
+    for t in mlp.tensors():
+        t.data += rng.normal(0.0, 0.5, t.data.shape)
+    x = rng.normal(size=(20, 4))
+    h = np.maximum(x @ mlp.l1.w.data + mlp.l1.b.data, 0.0)
+    expect = h @ mlp.l2.w.data + mlp.l2.b.data
+    out = mlp(Tensor(x)).data
+    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
+    assert (out < 0).any()
+
+
+def tape_nodes_of_update_objects(g, params, cfg):
+    """The ``autodiff._SEQ`` numbers one ``update_objects`` call consumes."""
+    before = next(autodiff._SEQ)
+    out = update_objects(g, params, cfg)
+    return next(autodiff._SEQ) - before - 1, out
+
+
+def test_a_skipped_direction_creates_no_tape_node():
+    """With language on, a skipped ``oo`` builds no concatenation either:
+    ``ro`` alone is one message_mean, one add and the residual relu."""
+    g = random_graph(np.random.default_rng(66), n=5)
+    params = init_ttst_params(DIMS, np.random.default_rng(67))
+    assert g.oo_tgt.size and g.ro_node.size
+    count, out = tape_nodes_of_update_objects(
+        g, params, config(use_language=True, directions=frozenset({"ro"})))
+    assert count == 3
+    (total,) = out._parents
+    assert total._parents[0] is g.x_obj
+    assert total._parents[1]._parents[:2] == (g.x_obj, g.x_rel)
+    count, out = tape_nodes_of_update_objects(
+        g, params, config(use_language=True, directions=frozenset()))
+    assert count == 1
+    np.testing.assert_array_equal(out.data, np.maximum(g.x_obj.data, 0.0))
 
 
 # ---------------------------------------------------------------------------
