@@ -6,8 +6,14 @@ resulting implicit tape is replayed by :func:`backward` in exact reverse
 creation order, over the nodes that have a backward.  Only leaves own a
 gradient buffer that grows in place: an interior node keeps the first
 gradient handed to it, uncopied, so no op's backward writes into the
-gradient it receives.  :class:`SgdMomentum` keeps the parameters it trains,
-and their gradients, as views of one flat buffer each.
+gradient it receives.  Backward frees each interior node as soon as its own
+backward has run: it drops the node's closure (and with it the activations
+the closure holds), its parents and its gradient, so the walk's peak is not
+the whole tape plus every interior gradient.  A consumed graph cannot be
+walked again: a second ``backward`` through any of its interior nodes raises
+a ``RuntimeError``; build the loss again instead.  :class:`SgdMomentum`
+keeps the parameters it trains, and their gradients, as views of one flat
+buffer each.
 
 The op zoo is only what the relation-graph pipeline needs: no general
 broadcasting (bias addition is its own op), no view ops, no higher order
@@ -71,6 +77,9 @@ class Tensor:
     report a (zero) gradient.  An interior node allocates none: its gradient
     is the first array that backward hands it, and a later one replaces it
     with a new sum, so it may share memory with another node's gradient.
+    Once its backward has run, an interior node is freed: ``grad`` is
+    ``None``, it has no parents, and its closure is the ``_consumed`` marker,
+    so only its ``data`` is left.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_seq", "_parents", "_backward")
@@ -123,6 +132,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+def _consumed(g):
+    """The closure of an interior node whose backward has run."""
+    raise RuntimeError("backward: the graph was consumed by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through every node reachable from ``loss``.
 
@@ -130,6 +144,11 @@ def backward(loss: Tensor) -> None:
     creation number, and runs them in reverse creation order, a valid
     reverse topological order because operands always predate their result.
     Leaf gradients accumulate; callers zero them between steps.
+
+    Each interior node is freed once its backward has run (see
+    :class:`Tensor`), so the graph is consumed: walking it again, from
+    ``loss`` or from a new loss built on one of its interior nodes, raises a
+    ``RuntimeError`` before any gradient moves.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -141,15 +160,18 @@ def backward(loss: Tensor) -> None:
         t = stack.pop()
         if t._seq in nodes:
             continue
+        if t._backward is _consumed:
+            _consumed(None)  # raises before any gradient moves
         nodes[t._seq] = t
         for p in t._parents:
             if p._backward is not None:
                 stack.append(p)
     _accumulate(loss, np.ones(()))
     for seq in sorted(nodes, reverse=True):
-        t = nodes[seq]
+        t = nodes.pop(seq)
         if t.grad is not None:
             t._backward(t.grad)
+        t._backward, t._parents, t.grad = _consumed, (), None
 
 
 # ---------------------------------------------------------------------------

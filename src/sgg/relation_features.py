@@ -14,8 +14,10 @@ and ``pair_geometry`` builds both for a whole pair list in one
 along the width only: one copy of its kw-wide windows (up to 5 copies of
 each mask cell for conv1, where an im2col makes up to 25) and kh GEMMs
 over it.  So its memory grows with the conv outputs, not with an im2col
-matrix of every pair, and ReLU, pooling and the next conv keep the layout
-the conv writes.
+matrix of every pair, and pooling, ReLU and the next conv keep the layout
+the conv writes.  The first conv is pooled before its ReLU, so the tape
+holds no full-resolution ReLU output and the ReLU runs on a quarter of the
+cells; the order is exact (see ``spatial_features``).
 """
 
 from __future__ import annotations
@@ -77,11 +79,17 @@ def rasterize_mask(sub_boxes, obj_boxes, resolution: int) -> np.ndarray:
 
 
 def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
-    """Conv stack over a batch of masks: 5x5 conv, ReLU, 2x2 pool, 3x3 conv,
-    ReLU, flatten.  Accepts (n, 2, R, R) and returns (n, spatial_len)."""
+    """Conv stack over a batch of masks: 5x5 conv, 2x2 pool, ReLU, 3x3 conv,
+    ReLU, flatten.  Accepts (n, 2, R, R) and returns (n, spatial_len).
+
+    Pooling before the ReLU gives the values of the usual ReLU then pool,
+    since ``max(relu(a), ...) = relu(max(a, ...))``.  The gradients reach
+    the same conv outputs too: a window whose max is positive routes to the
+    first entry equal to that max in either order, and one whose max is at
+    most 0 passes zero in either order.
+    """
     x = Tensor(np.asarray(masks, dtype=np.float64))
-    h = relu(conv2d(x, params.conv1_w, params.conv1_b))
-    h = maxpool2d(h)
+    h = relu(maxpool2d(conv2d(x, params.conv1_w, params.conv1_b)))
     h = relu(conv2d(h, params.conv2_w, params.conv2_b))
     return flatten(h, 1)
 

@@ -462,22 +462,66 @@ def test_a_handed_over_gradient_survives_a_later_sum():
     """``add`` hands one array to the interior nodes ``a`` and ``b``; ``a``
     then receives a second gradient from an op created before the add.  The
     sum must not land in ``b``'s gradient, so the leaf gradient still
-    matches finite differences."""
+    matches finite differences.  Backward frees each node's gradient after
+    the node has run, so the gradients are caught as the nodes' backwards
+    are called; the finite-difference evaluations never call them."""
     rng = np.random.default_rng(6)
     c, v, u = rng.normal(size=4), rng.normal(size=12), rng.normal(size=12)
-    nodes = {}
+    seen = {}
+
+    def catch(name, t):
+        back = t._backward
+
+        def caught(g):
+            seen[name] = (g, g.copy())
+            back(g)
+
+        t._backward = caught
 
     def f(x):
         a, b = relu(x), add_bias(x, Tensor(c))
         t = softmax(a)  # created before the add, so its backward runs after it
         s = add(a, b)
-        nodes.update(a=a, b=b, s=s)
+        for name, node in (("a", a), ("b", b), ("s", s)):
+            catch(name, node)
         return add(matmul(flatten(s), Tensor(v)), matmul(flatten(t), Tensor(u)))
 
     assert finite_difference_check(f, _away_from_zero(rng, (3, 4))) < 1e-6
-    a, b, s = nodes["a"], nodes["b"], nodes["s"]
-    assert b.grad is s.grad  # handed over, uncopied
-    assert not np.shares_memory(a.grad, s.grad)  # the later sum is a new array
+    (ga, _), (gb, gb_bits), (gs, gs_bits) = seen["a"], seen["b"], seen["s"]
+    assert gb is gs  # handed over, uncopied
+    _assert_same_bits(gb, gs_bits)  # and left as ``s`` handed it over
+    assert not np.shares_memory(ga, gs)  # the later sum is a new array
+
+
+def _consumed_graph():
+    """``flatten(relu(x @ w)) . 1`` after one backward, and ``w``'s gradient."""
+    rng = np.random.default_rng(9)
+    x, w = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    h = relu(matmul(x, w))
+    loss = matmul(flatten(h), Tensor(np.ones(6)))
+    backward(loss)
+    return loss, h, w, w.grad.copy()
+
+
+def test_a_second_backward_from_a_consumed_loss_fails():
+    """Walking a graph again would add its interior gradients twice; it
+    raises instead, before any gradient moves."""
+    loss, _, w, grad = _consumed_graph()
+    assert grad.any()
+    with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+        backward(loss)
+    np.testing.assert_array_equal(w.grad, grad)
+
+
+def test_a_new_graph_through_a_consumed_node_fails():
+    """A new loss on a consumed interior node raises too, and its fresh
+    branch from ``w`` adds nothing to ``w``'s gradient first."""
+    _, h, w, grad = _consumed_graph()
+    again = add(matmul(flatten(h), Tensor(np.full(6, 2.0))),
+                matmul(flatten(relu(w)), Tensor(np.ones(8))))
+    with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+        backward(again)
+    np.testing.assert_array_equal(w.grad, grad)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgg.autodiff import Tensor, finite_difference_check_params
+from sgg.autodiff import (Tensor, backward, conv2d, finite_difference_check_params, flatten,
+                          matmul, maxpool2d, relu)
 from sgg.config import Dims
 from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
                                    relation_features, spatial_features, union_visual)
 from sgg.filter import ordered_pairs
 from sgg.scenes import Box, ObjectProposal, SceneRecord
+from sgg.synthetic import SynthConfig, generate_dataset
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
             mask_res=12, conv1_channels=3, conv2_channels=3)
@@ -273,3 +275,29 @@ def test_conv_chain_gradients():
 
     err = finite_difference_check_params(loss, params.tensors())
     assert err < 1e-4
+
+
+def test_pooling_before_the_relu_is_exact():
+    """``spatial_features`` pools conv1 before its ReLU.  On every pair of a
+    dense scene, whose conv1 outputs hold negatives, zeros and windows that
+    pool to at most zero, it equals the ReLU-then-pool stack built from the
+    same ops exactly: the output and all four conv parameter gradients."""
+    dims = Dims(n_classes=7, n_predicates=6)
+    scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
+    masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
+    params = init_relfeat_params(dims, np.random.default_rng(3))
+    convs = (params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b)
+    old = [Tensor(t.data.copy(), requires_grad=True) for t in convs]
+    a1 = conv2d(Tensor(masks), *old[:2]).data
+    pooled = a1.reshape(*a1.shape[:2], -1, 2, a1.shape[3] // 2, 2).max(axis=(3, 5))
+    assert (a1 < 0).any() and (a1 == 0).any() and (pooled <= 0).any() and (pooled > 0).any()
+    g = Tensor(np.random.default_rng(4).normal(size=len(masks) * dims.spatial_len))
+
+    out = spatial_features(masks, params)
+    backward(matmul(flatten(out), g))
+    h = relu(conv2d(maxpool2d(relu(conv2d(Tensor(masks), *old[:2]))), *old[2:]))
+    want = flatten(h, 1)
+    backward(matmul(flatten(want), g))
+    assert np.array_equal(out.data, want.data)
+    for t, o in zip(convs, old):
+        assert np.array_equal(t.grad, o.grad)
