@@ -104,14 +104,23 @@ def _meta_vector(config) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+def _slot(x: float, kind: str, name: str):
+    """A stored slot as an int (a whole number), a bool (0 or 1) or a float."""
+    if kind != "float" and not (x.is_integer() and (kind == "int" or x in (0, 1))):
+        raise ValueError(f"{name} must be {'a whole number' if kind == 'int' else '0 or 1'}, "
+                         f"got {x!r}")
+    return {"int": int, "bool": bool, "float": float}[kind](x)
+
+
 def _from_meta_vector(cls, v: list[float], **given):
-    """``cls`` from a ``_meta_vector`` (ints rounded, bools > 0.5) and ``given``."""
+    """``cls`` from a ``_meta_vector`` and ``given``."""
     values, at = {}, 0
     for f in dataclasses.fields(cls):
         if f.type == "frozenset":
-            values[f.name] = frozenset(d for d, on in zip(ALL_DIRECTIONS, v[at:]) if on > 0.5)
+            values[f.name] = frozenset(d for d, x in zip(ALL_DIRECTIONS, v[at:])
+                                       if _slot(x, "bool", f"{f.name} slot '{d}'"))
         elif f.type in _SLOTS:
-            values[f.name] = {"int": round(v[at]), "bool": v[at] > 0.5, "float": v[at]}[f.type]
+            values[f.name] = _slot(v[at], f.type, f.name)
         at += _SLOTS.get(f.type, 0)
     return cls(**given, **values)
 
@@ -151,7 +160,9 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
     arrays = load_params(path)
     dims = _from_meta(arrays, "meta.dims", path, Dims)
     config = _from_meta(arrays, "meta.flags", path, ModelConfig, dims=dims)
-    srf = init_srf_params(dims, np.random.default_rng(0)) if "srf.l1.w" in arrays else None
+    # a model that enables use_srf must hold the filter: _fill refuses it otherwise
+    srf = (init_srf_params(dims, np.random.default_rng(0))
+           if config.use_srf or "srf.l1.w" in arrays else None)
     params = init_model_params(config, seed=0, srf=srf)
     _fill(params.named_arrays(), arrays, path)
     return params, config

@@ -225,6 +225,29 @@ def test_every_config_field_survives_a_checkpoint(tmp_path, cls, field):
         assert type(getattr(lcfg.dims, f.name)) is int, f.name
 
 
+@pytest.mark.parametrize("key,slot,value,message", [
+    ("meta.flags", 0, 1.5, "iterations must be a whole number, got 1.5"),
+    ("meta.flags", 4, 0.5, "directions slot 'rr' must be 0 or 1, got 0.5"),
+    ("meta.flags", 5, 0.7, "use_language must be 0 or 1, got 0.7"),
+    ("meta.flags", 7, 3.0, "use_srf must be 0 or 1, got 3.0"),
+    ("meta.flags", 10, -1.0, "srf_in_predcls must be 0 or 1, got -1.0"),
+    ("meta.dims", 2, 5.25, "d_obj must be a whole number, got 5.25"),
+], ids=["int", "direction", "bool", "bool-above-1", "bool-negative", "dims-int"])
+def test_load_model_refuses_meta_slots_outside_their_values(tmp_path, key, slot, value,
+                                                            message):
+    """An int slot holds a whole number and a bool or direction slot 0 or 1;
+    anything else is refused, not rounded."""
+    config = ModelConfig(dims=DIMS, use_srf=False)
+    path = tmp_path / "model.txt"
+    save_model(path, init_model_params(config, seed=2), config)
+    arrays = load_params(path)
+    arrays[key][slot] = value
+    save_params(path, arrays)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: '{key}': {message}"
+
+
 # ---------------------------------------------------------------------------
 # filter checkpoints
 

@@ -425,7 +425,9 @@ def _n_classes_1(v):
     ("meta.dims", _n_classes_1, r"'meta\.dims': n_classes must lie in \[2, inf\), got 1\n"),
     ("meta.dims", lambda v: np.concatenate([v[:5], [1e12], v[6:]]),
      r"'meta\.dims': d_rel = 1000000000000 is too large: "),
-], ids=["short-flags", "short-dims", "one-class", "huge-d_rel"])
+    ("meta.flags", lambda v: np.concatenate([v[:7], [1.0], v[8:]]),
+     r"checkpoint is missing parameter 'srf\.l1\.w'\n"),
+], ids=["short-flags", "short-dims", "one-class", "huge-d_rel", "use_srf-without-filter"])
 def test_malformed_checkpoint_meta_exits_1_naming_file_and_key(tmp_path, capsys, key, edit,
                                                                 message):
     data = gen_corpus(tmp_path)

@@ -105,6 +105,9 @@ def edge_lists(draw):
 @example((1, []))
 @example((4, []))
 @example((3, [(0, 1), (0, 1), (1, 0)]))
+@example((21, [(i, j) for i in range(21) for j in range(21) if i != j]))  # largest dense_train
+@example((32, [(i, j) for i in range(32) for j in range(32) if i != j]))  # perfbench/sweep.py
+@example((6, [(4, 1), (0, 2), (4, 1), (2, 0), (1, 0), (0, 2), (3, 4)]))  # node 5 isolated
 def test_vectorized_builder_matches_set_loops(case):
     n, edges = case
     g = build_message_graph(Tensor(np.zeros((n, 1))), Tensor(np.zeros((n, 1))),
