@@ -19,9 +19,9 @@ The op zoo is only what the relation-graph pipeline needs: no general
 broadcasting (bias addition is its own op), no view ops, no higher order
 derivatives.  An op's result may still be a transposed view of
 its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored as
-(Cout, oh, N, ow), ``relu`` and ``maxpool2d`` keep that layout, and it is
-the order (channel, row, instance, column) in which the next ``conv2d``
-copies its width windows.
+(Cout, oh, N, ow), ``relu`` keeps that layout, and it is the order
+(channel, row, instance, column) in which the next ``conv2d`` copies its
+width windows.
 
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
@@ -37,11 +37,11 @@ hidden layer from the kept per-target and per-source projections, so memory
 is O((targets + sources) x hidden + one block) and no rows x hidden array
 stays on the tape), ``conv2d`` (lowered along the width only: per block of
 instances, one copy of its kw-wide windows of about ``CONV_BLOCK_BYTES``
-and kh GEMMs over column ranges of it; backward recomputes a block's
-windows instead of storing them, so memory is the output plus one block),
-``maxpool2d`` (the max of the four stride-2 views), ``flatten`` (the axes
-from a start axis on), ``softmax``, ``cross_entropy_with_softmax`` and
-``binary_logistic_loss``.
+and kh GEMMs over column ranges of it, then the bias and, if asked, a 2x2
+max pooling of the block; backward recomputes a block's windows instead of
+storing them, so memory is the (pooled) output plus one block), ``flatten``
+(the axes from a start axis on), ``softmax``, ``cross_entropy_with_softmax``
+and ``binary_logistic_loss``.
 """
 
 from __future__ import annotations
@@ -437,7 +437,7 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# spatial ops (stride-1 valid convolution, 2x2 max pooling)
+# spatial ops (stride-1 valid convolution, optionally 2x2 max pooled)
 
 
 def _windows(xb: np.ndarray, kw: int) -> np.ndarray:
@@ -458,17 +458,22 @@ def _windows(xb: np.ndarray, kw: int) -> np.ndarray:
     return cols.reshape(cin * kw, -1)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid convolution of (N, Cin, H, W) with (Cout, Cin, kh, kw) plus bias.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: bool = False) -> Tensor:
+    """Valid convolution of (N, Cin, H, W) with (Cout, Cin, kh, kw) plus bias,
+    then with ``pool`` a 2x2 stride-2 max pooling.
 
     Lowered along the width only (MEC, Cho & Brand, arXiv:1706.06873): per
     block of instances (``CONV_BLOCK_BYTES`` of ``_windows``) the output is
     ``sum_p w[:, :, p, :] @ cols[:, p*m*ow:(p+oh)*m*ow]``, kh GEMMs on one
-    kw-wide copy where an im2col copies each input kh*kw times.  Backward
-    recomputes the windows, forms the weight gradient per row shift p the
-    same way, and folds ``w_p.T @ g`` back onto the input with kw strided
-    adds.  The result is an (N, Cout, oh, ow) view of a (Cout, oh, N, ow)
-    buffer, the order in which the next conv copies its windows.
+    kw-wide copy where an im2col copies each input kh*kw times, plus the
+    bias.  A pooled block keeps only its pooled output and two bool masks
+    that route each gradient to its window's first max, in the order (0,0),
+    (0,1), (1,0), (1,1) an argmax takes (zeros of either sign tie).
+    Backward routes a block's gradient, recomputes its windows, forms the
+    weight gradient per row shift p the same way, and folds ``w_p.T @ g``
+    back onto the input with kw strided adds.  The result is an (N, Cout,
+    oh, ow) view of a (Cout, oh, N, ow) buffer (oh and ow halved when
+    pooled), the order in which the next conv copies its windows.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError("conv2d: expected x(N,C,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
@@ -479,26 +484,44 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if h < kh or wd < kw:
         raise ShapeError(f"conv2d: input {h}x{wd} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, wd - kw + 1
+    if pool and (oh % 2 or ow % 2):
+        raise ShapeError(f"conv2d: pooling needs an even output, got {oh}x{ow}")
     step = max(1, CONV_BLOCK_BYTES // (8 * cin * kw * h * ow))
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     wp = np.ascontiguousarray(w.data.transpose(2, 0, 1, 3)).reshape(kh, cout, cin * kw)
-    out = np.empty((cout, oh, n, ow))
+    out = np.empty((cout, oh // 2, n, ow // 2) if pool else (cout, oh, n, ow))
+    routes = []  # per pooled block: is the max in the top row, in the left column
     for blk in blocks:
         cols = _windows(x.data[blk], kw)
         r = cols.shape[1] // h  # columns per input row: m * ow
         ob = wp[0] @ cols[:, :oh * r]
         for p in range(1, kh):
             ob += wp[p] @ cols[:, p * r:(p + oh) * r]
-        out[:, :, blk] = ob.reshape(cout, oh, -1, ow)
-    out += b.data[:, None, None, None]
+        ob += b.data[:, None]
+        ob = ob.reshape(cout, oh, -1, ow)
+        if pool:
+            pairs = np.maximum(ob[..., 0::2], ob[..., 1::2])
+            pooled = np.maximum(pairs[:, 0::2], pairs[:, 1::2])
+            routes.append((pairs[:, 0::2] == pooled, ob[..., 0::2] == pairs))
+            ob = pooled
+        out[:, :, blk] = ob
 
     def back(g):
         gt = g.transpose(1, 2, 0, 3)
         _accumulate(b, gt.sum(axis=(1, 2, 3)))
         gw = np.zeros((kh, cout, cin * kw))
         gx = np.zeros((cin, h, n, wd)) if x.requires_grad else None
-        for blk in blocks:
-            gc = gt[:, :, blk].reshape(cout, -1)
+        for k, blk in enumerate(blocks):
+            gc = gt[:, :, blk]
+            if pool:  # each pooled gradient goes to its window's first max
+                top, left = routes[k]
+                rows = np.empty(left.shape)
+                np.multiply(gc, top, out=rows[:, 0::2])
+                np.multiply(gc, ~top, out=rows[:, 1::2])
+                gc = np.empty(left.shape[:3] + (ow,))
+                np.multiply(rows, left, out=gc[..., 0::2])
+                np.multiply(rows, ~left, out=gc[..., 1::2])
+            gc = gc.reshape(cout, -1)
             cols = _windows(x.data[blk], kw)
             r = cols.shape[1] // h
             for p in range(kh):
@@ -516,39 +539,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(x, gx.transpose(2, 0, 1, 3))
 
     return Tensor._from_op(out.transpose(2, 0, 1, 3), (x, w, b), back)
-
-
-def maxpool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max.
-
-    The output is the elementwise max of the four stride-2 views and keeps
-    the memory layout of ``x``.  Backward gives each gradient to the first
-    of the offsets (0,0), (0,1), (1,0), (1,1) whose value equals the output,
-    the entry an argmax over the window picks.  Zeros of either sign tie, so
-    a window holding both may pool to either.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2d: expected (N,C,H,W), got {x.data.shape}")
-    h, w = x.data.shape[2:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2d: spatial dims must be even, got {h}x{w}")
-    pairs = np.maximum(x.data[..., 0::2], x.data[..., 1::2])  # max of each column pair
-    out = np.maximum(pairs[:, :, 0::2], pairs[:, :, 1::2])
-
-    def back(g):
-        # the first max is in the first row whose column-pair max equals the
-        # output, and in that row's first column holding it
-        top = pairs[:, :, 0::2] == out
-        g_rows = np.empty_like(pairs)
-        np.multiply(g, top, out=g_rows[:, :, 0::2])
-        np.multiply(g, ~top, out=g_rows[:, :, 1::2])
-        left = x.data[..., 0::2] == pairs
-        gx = np.empty_like(x.data)
-        np.multiply(g_rows, left, out=gx[..., 0::2])
-        np.multiply(g_rows, ~left, out=gx[..., 1::2])
-        _accumulate(x, gx)
-
-    return Tensor._from_op(out, (x,), back)
 
 
 def flatten(x: Tensor, start: int = 0) -> Tensor:

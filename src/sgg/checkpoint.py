@@ -61,6 +61,8 @@ def load_params(path) -> dict[str, np.ndarray]:
         if row[0] != "param" or len(row) < 2:
             raise ValueError(f"{path}: line {ln}: expected a 'param <name> <dims...>' line")
         name = row[1]
+        if name in out:
+            raise ValueError(f"{path}: line {ln}: parameter '{name}' is listed twice")
         try:
             shape = tuple(int(d) for d in row[2:])
             if min(shape, default=0) < 0:

@@ -14,10 +14,10 @@ and ``pair_geometry`` builds both for a whole pair list in one
 along the width only: one copy of its kw-wide windows (up to 5 copies of
 each mask cell for conv1, where an im2col makes up to 25) and kh GEMMs
 over it.  So its memory grows with the conv outputs, not with an im2col
-matrix of every pair, and pooling, ReLU and the next conv keep the layout
-the conv writes.  The first conv is pooled before its ReLU, so the tape
-holds no full-resolution ReLU output and the ReLU runs on a quarter of the
-cells; the order is exact (see ``spatial_features``).
+matrix of every pair, and ReLU and the next conv keep the layout the conv
+writes.  The first conv is pooled inside its blocks, before its ReLU, so
+the tape holds no full-resolution conv1 output and the ReLU runs on a
+quarter of the cells; the order is exact (see ``spatial_features``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, conv2d, flatten, glorot_uniform, maxpool2d, relu, \
-    zeros_param
+from .autodiff import Tensor, concat_cols, conv2d, flatten, glorot_uniform, relu, zeros_param
 from .config import Dims
 from .nn import Affine, ParamGroup, make_affine
 from .scenes import SceneRecord, pair_index, union_frame
@@ -82,14 +81,14 @@ def spatial_features(masks: np.ndarray, params: RelFeatParams) -> Tensor:
     """Conv stack over a batch of masks: 5x5 conv, 2x2 pool, ReLU, 3x3 conv,
     ReLU, flatten.  Accepts (n, 2, R, R) and returns (n, spatial_len).
 
-    Pooling before the ReLU gives the values of the usual ReLU then pool,
-    since ``max(relu(a), ...) = relu(max(a, ...))``.  The gradients reach
-    the same conv outputs too: a window whose max is positive routes to the
-    first entry equal to that max in either order, and one whose max is at
-    most 0 passes zero in either order.
+    conv1 is pooled inside its blocks, after its bias and before its ReLU,
+    so no full-resolution conv1 output stays on the tape.  That order gives
+    ReLU-then-pool's values (``max(relu(a), ...) = relu(max(a, ...))``) and
+    gradients: a window with a positive max routes to its first entry equal
+    to that max either way, and one whose max is at most 0 passes zero.
     """
     x = Tensor(np.asarray(masks, dtype=np.float64))
-    h = relu(maxpool2d(conv2d(x, params.conv1_w, params.conv1_b)))
+    h = relu(conv2d(x, params.conv1_w, params.conv1_b, pool=True))
     h = relu(conv2d(h, params.conv2_w, params.conv2_b))
     return flatten(h, 1)
 

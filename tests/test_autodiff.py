@@ -1,6 +1,7 @@
 """Unit and property tests for the reverse-mode engine and optimizer."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segmen
                           binary_logistic_loss, concat_cols, conv2d,
                           cross_entropy_with_softmax, finite_difference_check,
                           finite_difference_check_params, flatten, gather_rows,
-                          glorot_uniform, matmul, maxpool2d, message_mean, relu, schedule_lr,
+                          glorot_uniform, matmul, message_mean, relu, schedule_lr,
                           segment_mean, softmax)
 from sgg.config import Dims, ModelConfig
 from sgg.filter import ordered_pairs
@@ -94,13 +95,20 @@ def test_conv2d_hand_computed():
     np.testing.assert_array_equal(out.data, [[[[12.0, 16.0], [24.0, 28.0]]]])
 
 
+def _maxpool(x):
+    """2x2 max pooling of ``x`` by the pooled ``conv2d``: a 1x1 identity
+    kernel and a zero bias, so the conv's output is ``x + 0.0``."""
+    c = x.data.shape[1]
+    return conv2d(x, Tensor(np.eye(c)[:, :, None, None]), Tensor(np.zeros(c)), pool=True)
+
+
 def test_maxpool_forward_and_tie_routing():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), requires_grad=True)
-    out = maxpool2d(x)
+    out = _maxpool(x)
     assert out.data.item() == 4.0
     # a fully tied window routes its whole gradient to the top-left entry
     t = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
-    backward(matmul(flatten(maxpool2d(t)), Tensor(np.ones(1))))
+    backward(matmul(flatten(_maxpool(t)), Tensor(np.ones(1))))
     np.testing.assert_array_equal(t.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
@@ -288,10 +296,16 @@ def _assert_same_bits(actual, expected):
 @settings(deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(1, 3)] * 2,
                                                           *[st.integers(1, 4)] * 2),
-       kind=st.sampled_from(["relu", "small_int"]), channel_major=st.booleans())
-def test_maxpool_matches_argmax_pooling_bit_for_bit(seed, shape, kind, channel_major):
-    """Strided max-pooling equals the argmax oracle bit for bit, ties included:
-    ReLU'd values tie at zero, small integers tie everywhere."""
+       kind=st.sampled_from(["relu", "small_int"]), channel_major=st.booleans(),
+       per_block=st.sampled_from([None, 2]))
+@example(seed=0, shape=(5, 2, 2, 3), kind="relu", channel_major=False, per_block=2)
+def test_maxpool_matches_argmax_pooling_bit_for_bit(seed, shape, kind, channel_major,
+                                                    per_block):
+    """Max-pooling inside ``conv2d``'s blocks equals the argmax oracle bit for
+    bit, ties included: ReLU'd values tie at zero, small integers tie
+    everywhere.  With ``per_block`` the conv takes 2 instances per block, so
+    3 or 5 instances span ragged blocks.  The identity conv turns -0.0 into
+    0.0, so the oracle pools ``x + 0.0``."""
     rng = np.random.default_rng(seed)
     n, c, h2, w2 = shape
     if kind == "relu":
@@ -299,9 +313,11 @@ def test_maxpool_matches_argmax_pooling_bit_for_bit(seed, shape, kind, channel_m
     else:
         x0 = rng.integers(-2, 3, size=(n, c, 2 * h2, 2 * w2)).astype(np.float64)
     g = rng.normal(size=(n, c, h2, w2))
-    out_ref, gx_ref = _pool_oracle(x0, g)
+    out_ref, gx_ref = _pool_oracle(x0 + 0.0, g)
     x = Tensor(_channel_major(x0) if channel_major else x0, requires_grad=True)
-    out = maxpool2d(x)
+    block_bytes = per_block * 8 * c * 4 * h2 * w2 if per_block else autodiff.CONV_BLOCK_BYTES
+    with mock.patch.object(autodiff, "CONV_BLOCK_BYTES", block_bytes):
+        out = _maxpool(x)
     _assert_same_bits(out.data, out_ref)
     backward(matmul(flatten(out), Tensor(g.reshape(-1))))
     _assert_same_bits(x.grad, np.zeros_like(x0) + gx_ref)
@@ -311,8 +327,8 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
     """``spatial_features`` at default ``Dims`` on every ordered pair of a
     17-proposal scene, ragged across the blocks of both convs, matches
     einsum conv, ReLU, argmax pooling, conv, ReLU: the output and all four
-    conv parameter gradients.  ReLU and pooling keep the (C, H, N, W)
-    storage that ``conv2d`` hands them."""
+    conv parameter gradients.  The pooled conv, the ReLU and the second conv
+    keep the (C, H, N, W) storage that ``conv2d`` writes."""
     dims = Dims(n_classes=7, n_predicates=6)
     scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
     masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
@@ -341,9 +357,8 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
                       (params.conv2_w, gw2), (params.conv2_b, gb2)):
         _assert_close(t.grad, expect)
 
-    c1 = conv2d(Tensor(masks), params.conv1_w, params.conv1_b)
-    pooled = maxpool2d(relu(c1))
-    for t in (c1, relu(c1), pooled, relu(conv2d(pooled, params.conv2_w, params.conv2_b))):
+    pooled = conv2d(Tensor(masks), params.conv1_w, params.conv1_b, pool=True)
+    for t in (pooled, relu(pooled), relu(conv2d(relu(pooled), params.conv2_w, params.conv2_b))):
         assert t.data.transpose(1, 2, 0, 3).flags.c_contiguous
 
 
@@ -437,7 +452,8 @@ EVERY_OP = {
     "segment_mean": lambda r: segment_mean(_leaf(r, 5, 3), [0, 0, 2, 2, 2], 4),
     "message_mean": _message,
     "conv2d": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3)),
-    "maxpool2d": lambda r: maxpool2d(_leaf(r, 1, 2, 4, 4)),
+    "conv2d_pool": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3),
+                                    pool=True),
     "flatten": lambda r: flatten(_leaf(r, 2, 3, 2), 1),
     "softmax": lambda r: softmax(_leaf(r, 3, 4)),
     "cross_entropy_with_softmax": lambda r: cross_entropy_with_softmax(_leaf(r, 4, 3),
@@ -536,8 +552,9 @@ def test_shape_errors():
     for a, b in (((2, 3), (3,)), ((3,), (3, 2)), ((1, 2, 3), (3, 2))):
         with pytest.raises(ShapeError):  # mixed or unsupported ranks
             matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
-    with pytest.raises(ShapeError):
-        maxpool2d(Tensor(np.ones((1, 1, 3, 4))))
+    with pytest.raises(ShapeError, match="pooling needs an even output, got 3x4"):
+        conv2d(Tensor(np.ones((1, 1, 4, 5))), Tensor(np.ones((1, 1, 2, 2))), Tensor(np.zeros(1)),
+               pool=True)
     with pytest.raises(ShapeError):
         concat_cols([])
     with pytest.raises(ShapeError):

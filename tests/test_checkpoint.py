@@ -75,6 +75,13 @@ def test_load_rejects_bad_float_and_bad_dims(tmp_path):
         load_params(path)
 
 
+def test_load_rejects_a_parameter_listed_twice(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("sgg-checkpoint 1\nparam a 2\n1.0 2.0\nparam a 2\n3.0 4.0\n")
+    with pytest.raises(ValueError, match=f"{path}: line 4: parameter 'a' is listed twice"):
+        load_params(path)
+
+
 def test_load_rejects_truncated_values(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("sgg-checkpoint 1\nparam a 3\n1.0 2.0\n")

@@ -438,6 +438,23 @@ def test_malformed_checkpoint_meta_exits_1_naming_file_and_key(tmp_path, capsys,
     assert re.match(f"error: {re.escape(model)}: {message}", err), err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_listing_a_parameter_twice_exits_1(tmp_path, capsys, command):
+    """A second copy of a parameter's block would silently replace the first."""
+    data = gen_corpus(tmp_path)
+    model = _checkpoint_with(tmp_path / "m.ckpt", "meta.dims", lambda v: v)
+    lines = open(model).read().splitlines()
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("param relfeat.conv1.b "))
+    end = next(k for k in range(start + 1, len(lines)) if lines[k].startswith("param "))
+    with open(model, "a") as fh:
+        fh.write("\n".join(lines[start:end]) + "\n")
+    capsys.readouterr()
+    assert run([command, "--data", data, "--model", model, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {model}: line {len(lines) + 1}: parameter 'relfeat.conv1.b' "
+                   f"is listed twice\n"), err
+
+
 def _with_gt_class(tmp_path, data, cls):
     """A copy of the corpus whose second scene has a gt object of class ``cls``."""
     lines = open(data).read().splitlines()

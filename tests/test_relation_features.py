@@ -1,17 +1,19 @@
 """Spatial mask rasterization and the two-layer conv feature chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgg.autodiff import (Tensor, backward, conv2d, finite_difference_check_params, flatten,
-                          matmul, maxpool2d, relu)
+from sgg.autodiff import (Tensor, _accumulate, backward, conv2d, finite_difference_check_params,
+                          flatten, matmul, relu)
 from sgg.config import Dims
 from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
                                    relation_features, spatial_features, union_visual)
 from sgg.filter import ordered_pairs
-from sgg.scenes import Box, ObjectProposal, SceneRecord
+from sgg.scenes import Box, ObjectProposal, SceneRecord, pair_index
 from sgg.synthetic import SynthConfig, generate_dataset
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
@@ -277,11 +279,36 @@ def test_conv_chain_gradients():
     assert err < 1e-4
 
 
+def maxpool2d(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2 as a tape op of its own; ties route the
+    gradient to the first max of (0,0), (0,1), (1,0), (1,1).  The reference
+    for the pooling ``conv2d`` does inside its blocks."""
+    pairs = np.maximum(x.data[..., 0::2], x.data[..., 1::2])  # max of each column pair
+    out = np.maximum(pairs[:, :, 0::2], pairs[:, :, 1::2])
+
+    def back(g):
+        top = pairs[:, :, 0::2] == out
+        g_rows = np.empty_like(pairs)
+        np.multiply(g, top, out=g_rows[:, :, 0::2])
+        np.multiply(g, ~top, out=g_rows[:, :, 1::2])
+        left = x.data[..., 0::2] == pairs
+        gx = np.empty_like(x.data)
+        np.multiply(g_rows, left, out=gx[..., 0::2])
+        np.multiply(g_rows, ~left, out=gx[..., 1::2])
+        _accumulate(x, gx)
+
+    return Tensor._from_op(out, (x,), back)
+
+
 def test_pooling_before_the_relu_is_exact():
-    """``spatial_features`` pools conv1 before its ReLU.  On every pair of a
-    dense scene, whose conv1 outputs hold negatives, zeros and windows that
-    pool to at most zero, it equals the ReLU-then-pool stack built from the
-    same ops exactly: the output and all four conv parameter gradients."""
+    """``spatial_features`` pools conv1 before its ReLU, inside the conv.  On
+    every pair of a dense scene, whose conv1 outputs hold negatives, zeros
+    and windows that pool to at most zero, it equals the ReLU-then-pool stack
+    of an unpooled conv and a separate pooling op exactly: the output and
+    the ``conv1.w``, ``conv2.w`` and ``conv2.b`` gradients.  ``conv1.b``'s
+    gradient now sums the pooled gradient, where the separate op summed the
+    zero-filled full-resolution one: the same nonzero summands in another
+    order, so it agrees to rounding."""
     dims = Dims(n_classes=7, n_predicates=6)
     scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
     masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
@@ -300,4 +327,30 @@ def test_pooling_before_the_relu_is_exact():
     backward(matmul(flatten(want), g))
     assert np.array_equal(out.data, want.data)
     for t, o in zip(convs, old):
-        assert np.array_equal(t.grad, o.grad)
+        if t is params.conv1_b:
+            np.testing.assert_allclose(t.grad, o.grad, rtol=1e-13, atol=0)
+        else:
+            assert np.array_equal(t.grad, o.grad)
+
+
+def test_spatial_features_keeps_no_full_resolution_conv1_output():
+    """Forward and backward over the 420 ordered pairs of a 21-proposal scene
+    at default ``Dims`` peak below twice conv1's full-resolution output
+    (420 x 8 x 28 x 28 floats, 21 MB): conv1 pools inside its blocks, so its
+    tape keeps the pooled map and two bool masks."""
+    dims = Dims(n_classes=7, n_predicates=6)
+    rng = np.random.default_rng(0)
+    boxes = np.concatenate([rng.uniform(0, 60, (21, 2)), rng.uniform(4, 40, (21, 2))], axis=1)
+    ij = pair_index(ordered_pairs(21))
+    masks = rasterize_mask(boxes[ij[:, 0]], boxes[ij[:, 1]], dims.mask_res)
+    params = init_relfeat_params(dims, rng)
+    g = Tensor(rng.normal(size=len(masks) * dims.spatial_len))
+    conv1_bytes = 8 * len(masks) * dims.conv1_channels * (dims.mask_res - 4) ** 2
+    tracemalloc.start()
+    try:
+        backward(matmul(flatten(spatial_features(masks, params)), g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 420
+    assert peak < 2 * conv1_bytes, peak / conv1_bytes
