@@ -28,7 +28,7 @@ embedding matrix, so they need no dedicated op.
 
 The ops: ``add``, ``add_bias``, ``matmul`` (matrix @ matrix or vector ·
 vector), ``concat_cols``, ``relu`` (backward reads its output, so it keeps
-no mask), ``gather_rows``, ``segment_mean``, ``message_mean`` (one fused
+no mask), ``gather_rows``, ``message_mean`` (one fused
 target-tailored message direction: a two-layer MLP with a ReLU after each
 layer over [target; source] rows, its first layer split, then the mean per
 target; the rows run in blocks of about ``MESSAGE_BLOCK_BYTES`` of hidden
@@ -287,25 +287,6 @@ def gather_rows(m: Tensor, indices) -> Tensor:
     return Tensor._from_op(m.data.take(idx, axis=0), (m,), back)
 
 
-def segment_mean(m: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Mean of rows grouped by segment id; empty segments yield zero rows."""
-    if m.data.ndim != 2:
-        raise ShapeError(f"segment_mean: expected matrix, got shape {m.data.shape}")
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape != (m.data.shape[0],):
-        raise ShapeError("segment_mean: one segment id per row required")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ShapeError("segment_mean: segment id out of range")
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    denom = np.maximum(counts, 1.0)
-    sums = _segment_sum(m.data, seg, num_segments)
-
-    def back(g):
-        _accumulate(m, g.take(seg, axis=0) / denom.take(seg)[:, None])
-
-    return Tensor._from_op(sums / denom[:, None], (m,), back)
-
-
 # message_mean works through its rows in blocks whose hidden layer takes
 # about this many bytes (float64), and conv2d through its instances in blocks
 # whose kw-wide window copy does (kw floats per input cell and channel), so
@@ -353,7 +334,7 @@ def message_mean(x_t: Tensor, t_idx, x_s: Tensor, s_idx, w1: Tensor, b1: Tensor,
     Row r reads target ``t_idx[r]`` of ``x_t`` and source ``s_idx[r]`` of
     ``x_s``; output row i is the mean over the rows with ``t_idx == i`` (a
     zero row when there are none).  ``t_idx`` must be sorted.  It equals
-    ``segment_mean`` of the MLP (a ReLU after each of the two layers) on
+    the per-target mean of the MLP (a ReLU after each of the two layers) on
     ``concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])``,
     but the first layer is split,
     ``[x_t[t]; x_s[s]] w1 + b1 = (x_t w1[:d_t] + b1)[t] + (x_s w1[d_t:])[s]``,

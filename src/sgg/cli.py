@@ -312,6 +312,8 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
     errs = check_all_ops(seed)
     for name in sorted(errs):
         print(f"op {name} max_rel_err = {errs[name]:.3e}")

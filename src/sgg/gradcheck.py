@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import (Tensor, add, add_bias, binary_logistic_loss, concat_cols, conv2d,
                        cross_entropy_with_softmax, finite_difference_check,
                        finite_difference_check_params, flatten, gather_rows, matmul,
-                       message_mean, relu, segment_mean, softmax)
+                       message_mean, relu, softmax)
 from .config import Dims, ModelConfig
 from .model import init_model_params
 from .scenes import IOU_THRESHOLD, Box, GtObject, ObjectProposal, SceneRecord, Triplet
@@ -66,8 +66,6 @@ def check_all_ops(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     check("relu", relu, _away_from_zero(rng, (3, 4)))
     check("gather_rows", lambda x: gather_rows(x, [0, 2, 2, 1, 0]),
           rng.normal(size=(4, 3)))
-    check("segment_mean", lambda x: segment_mean(x, [0, 0, 2, 2, 2], 4),
-          rng.normal(size=(5, 3)))
 
     # targets 0 and 2 (target 1 has no rows), sources of another width; the
     # check replaces one of the six inputs at a time with the probed leaf

@@ -14,9 +14,6 @@ Within one iteration objects update first and the relation sweep reads the
 refreshed object features; relation-to-relation messages still read the
 iteration-start relation features.  Transform weights are shared across
 iterations.
-
-A shared-transformation baseline (one square matrix, uniform attention,
-target-independent messages) is provided for ablation contrasts.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat_cols, gather_rows, matmul, message_mean, relu, \
-    segment_mean
+from .autodiff import Tensor, add, concat_cols, message_mean, relu
 from .config import Dims, ModelConfig
 from .nn import ParamGroup, TwoLayerMlp, make_mlp
 from .scenes import pair_index
@@ -151,29 +147,3 @@ def run_message_passing(g: MessageGraph, params: TtstParams,
         g = replace(g, x_obj=x_new, x_rel=r_new)
     return g
 
-
-# ---------------------------------------------------------------------------
-# shared-transformation baseline (ablation only)
-
-
-@dataclass
-class BaselineParams:
-    """Single square transform shared by every message, uniform attention."""
-
-    w: Tensor  # (d_obj, d_obj)
-
-
-def init_baseline_params(dims: Dims, rng: np.random.Generator) -> BaselineParams:
-    from .autodiff import glorot_uniform
-
-    return BaselineParams(w=glorot_uniform(rng, (dims.d_obj, dims.d_obj),
-                                           dims.d_obj, dims.d_obj))
-
-
-def baseline_shared_update(g: MessageGraph, params: BaselineParams) -> Tensor:
-    """z_i <- ReLU(z_i + mean_{j in N(i)} W z_j): the message to every target
-    from a given source is identical."""
-    if not g.oo_tgt.size:
-        return relu(g.x_obj)
-    msgs = matmul(gather_rows(g.x_obj, g.oo_src), params.w)
-    return relu(add(g.x_obj, segment_mean(msgs, g.oo_tgt, g.n)))

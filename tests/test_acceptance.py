@@ -12,15 +12,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from sgg.autodiff import Tensor
+from sgg.autodiff import Tensor, glorot_uniform
 from sgg.cli import run
 from sgg.config import Dims, ModelConfig
 from sgg.evaluation import (EvalTriplet, evaluate, match_triplets, recall_at_k,
                             substitute_gt_boxes)
 from sgg.filter import ordered_pairs, prune_graph
 from sgg.gradcheck import check_all_ops, pipeline_gradient_check
-from sgg.message_passing import (build_message_graph, init_baseline_params,
-                                 init_ttst_params, run_message_passing)
+from sgg.message_passing import build_message_graph, init_ttst_params, run_message_passing
 from sgg.scenes import Box, EmbeddingTable, iou
 from sgg.synthetic import SynthConfig, generate_dataset
 from sgg.training import TrainConfig, train_main, train_srf
@@ -146,8 +145,8 @@ def test_criterion_4_tailored_messages():
         tailored = np.stack([mlp_np(params.obj_to_obj, row) for row in pair])
         tailored_min = min(tailored_min,
                            float(np.max(np.abs(tailored[0] - tailored[1]))))
-        base = init_baseline_params(SMALL_DIMS, rng)
-        shared = x[[2, 3]] @ base.w.data
+        d = SMALL_DIMS.d_obj
+        shared = x[[2, 3]] @ glorot_uniform(rng, (d, d), d, d).data
         baseline_max = max(baseline_max,
                            float(np.max(np.abs(shared[0] - shared[1]))))
     ok = tailored_min > 1e-8 and baseline_max == 0.0

@@ -15,7 +15,7 @@ from sgg.autodiff import (NumericError, SgdMomentum, ShapeError, Tensor, _segmen
                           cross_entropy_with_softmax, finite_difference_check,
                           finite_difference_check_params, flatten, gather_rows,
                           glorot_uniform, matmul, message_mean, relu, schedule_lr,
-                          segment_mean, softmax)
+                          softmax)
 from sgg.config import Dims, ModelConfig
 from sgg.filter import ordered_pairs
 from sgg.gradcheck import _away_from_zero, check_all_ops
@@ -56,21 +56,15 @@ def test_gather_rows_sums_duplicate_grads():
     np.testing.assert_array_equal(m.grad, [[2, 2], [1, 1], [0, 0]])
 
 
-def test_segment_mean_leaves_empty_segments_zero():
-    m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    out = segment_mean(m, [0, 0, 2], 3)
-    np.testing.assert_array_equal(out.data, [[2.0, 3.0], [0.0, 0.0], [5.0, 6.0]])
-
-
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 12),
        segments=st.integers(1, 6), width=st.integers(1, 4))
 @example(seed=0, rows=0, segments=3, width=2)   # no rows at all
 @example(seed=1, rows=8, segments=2, width=3)   # every id repeated
 def test_segment_sums_match_add_at(seed, rows, segments, width):
-    """``_segment_sum``, the ``gather_rows`` gradient and ``segment_mean`` add
-    rows in the order ``np.add.at`` does, so they match it bit for bit;
-    segments no row names (likely with few rows) stay zero."""
+    """``_segment_sum`` and the ``gather_rows`` gradient add rows in the
+    order ``np.add.at`` does, so they match it bit for bit; segments no row
+    names (likely with few rows) stay zero."""
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, segments, rows).astype(np.intp)
     values = rng.normal(size=(rows, width))
@@ -81,10 +75,6 @@ def test_segment_sums_match_add_at(seed, rows, segments, width):
     m = Tensor(rng.normal(size=(segments, width)), requires_grad=True)
     backward(matmul(flatten(gather_rows(m, ids)), Tensor(values.reshape(-1))))
     np.testing.assert_array_equal(m.grad, expect)
-
-    counts = np.maximum(np.bincount(ids, minlength=segments), 1)[:, None]
-    np.testing.assert_array_equal(segment_mean(Tensor(values), ids, segments).data,
-                                  expect / counts)
 
 
 def test_conv2d_hand_computed():
@@ -449,7 +439,6 @@ EVERY_OP = {
     "concat_cols": lambda r: concat_cols([_leaf(r, 3, 2), _leaf(r, 3, 4)]),
     "relu": lambda r: relu(_leaf(r, 3, 4)),
     "gather_rows": lambda r: gather_rows(_leaf(r, 4, 3), [0, 2, 2, 1, 0]),
-    "segment_mean": lambda r: segment_mean(_leaf(r, 5, 3), [0, 0, 2, 2, 2], 4),
     "message_mean": _message,
     "conv2d": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3)),
     "conv2d_pool": lambda r: conv2d(_leaf(r, 2, 2, 6, 6), _leaf(r, 3, 2, 3, 3), _leaf(r, 3),
@@ -717,6 +706,14 @@ def test_every_op_passes_gradient_check():
 
 def test_gradient_checks_are_deterministic():
     assert check_all_ops(11) == check_all_ops(11)
+
+
+def test_gradient_checks_cover_every_op():
+    """``check_all_ops`` and ``EVERY_OP`` name the same ops (``matmul_vectors``
+    is ``matmul`` on two vectors), so an op added to or removed from one list
+    fails here until the other list matches."""
+    assert set(check_all_ops(0)) == {name.replace("matmul_vectors", "matmul")
+                                     for name in EVERY_OP}
 
 
 def test_finite_difference_check_flags_a_wrong_gradient():

@@ -564,3 +564,10 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert "gradient check passed" in out
     assert "pipeline max_rel_err" in out
+
+
+def test_gradcheck_negative_seed_is_a_usage_error(capsys):
+    assert run(["gradcheck", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be at least 0, got -1\n"
+    assert captured.out == ""

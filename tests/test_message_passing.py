@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgg import autodiff
-from sgg.autodiff import (Tensor, backward, concat_cols, flatten, gather_rows, matmul,
-                          message_mean, relu, segment_mean)
+from sgg.autodiff import (Tensor, backward, concat_cols, flatten, gather_rows, glorot_uniform,
+                          matmul, message_mean, relu)
 from sgg.config import ALL_DIRECTIONS, Dims, ModelConfig
-from sgg.message_passing import (BaselineParams, baseline_shared_update, build_message_graph,
-                                 init_baseline_params, init_ttst_params, run_message_passing,
+from sgg.message_passing import (build_message_graph, init_ttst_params, run_message_passing,
                                  update_objects)
 from sgg.nn import make_mlp
 
@@ -127,9 +126,13 @@ def fused_message_mean(mlp, x_t, t_idx, x_s, s_idx):
 
 def composed_message_mean(mlp, x_t, t_idx, x_s, s_idx):
     """Gather both ends, concatenate, run the MLP and a ReLU on every row,
-    mean per target."""
+    mean per target: a constant (targets x rows) averaging matrix times the
+    rows, its rows for targets without messages zero."""
     inp = concat_cols([gather_rows(x_t, t_idx), gather_rows(x_s, s_idx)])
-    return segment_mean(relu(mlp(inp)), t_idx, x_t.data.shape[0])
+    avg = np.zeros((x_t.data.shape[0], len(t_idx)))
+    avg[t_idx, np.arange(len(t_idx))] = 1.0
+    avg /= np.maximum(avg.sum(axis=1, keepdims=True), 1.0)
+    return matmul(Tensor(avg), relu(mlp(inp)))
 
 
 def direction_inputs(g):
@@ -401,12 +404,12 @@ def test_no_directions_still_applies_residual_relu():
 
 
 # ---------------------------------------------------------------------------
-# target-tailored messages vs the shared-transform baseline
+# target-tailored messages vs one shared matrix
 
 
 def test_same_source_different_targets():
     """The tailored transform sends distinct messages to distinct targets;
-    the shared-matrix baseline sends the identical vector."""
+    one shared matrix sends the identical vector."""
     for seed in range(20):
         rng = np.random.default_rng([91, seed])
         params = init_ttst_params(DIMS, rng, use_language=False)
@@ -417,23 +420,6 @@ def test_same_source_different_targets():
         tailored = np.stack([mlp_np(params.obj_to_obj, row) for row in pair])
         assert np.max(np.abs(tailored[0] - tailored[1])) > 1e-8
 
-        base = init_baseline_params(DIMS, rng)
-        shared = x[[2, 3]] @ base.w.data
+        w = glorot_uniform(rng, (DIMS.d_obj, DIMS.d_obj), DIMS.d_obj, DIMS.d_obj)
+        shared = x[[2, 3]] @ w.data
         np.testing.assert_array_equal(shared[0], shared[1])
-
-
-def test_baseline_update_formula():
-    rng = np.random.default_rng(55)
-    base = BaselineParams(w=Tensor(rng.normal(size=(DIMS.d_obj, DIMS.d_obj)),
-                                   requires_grad=True))
-    x = rng.normal(size=(3, DIMS.d_obj))
-    g = build_message_graph(Tensor(x), Tensor(np.zeros((3, DIMS.d_emb))),
-                            Tensor(np.zeros((2, DIMS.d_rel))), [(0, 1), (0, 2)], 3)
-    out = baseline_shared_update(g, base)
-    w = base.w.data
-    expect = np.stack([
-        np.maximum(x[0] + 0.5 * (x[1] @ w + x[2] @ w), 0.0),
-        np.maximum(x[1] + x[0] @ w, 0.0),
-        np.maximum(x[2] + x[0] @ w, 0.0),
-    ])
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
