@@ -17,11 +17,8 @@ buffer each.
 
 The op zoo is only what the relation-graph pipeline needs: no general
 broadcasting (bias addition is its own op), no view ops, no higher order
-derivatives.  An op's result may still be a transposed view of
-its own buffer: ``conv2d`` returns (N, Cout, oh, ow) stored as
-(Cout, oh, N, ow), ``relu`` keeps that layout, and it is the order
-(channel, row, instance, column) in which the next ``conv2d`` copies its
-width windows.
+derivatives.  Every op's result is a plain C-contiguous array, so
+``flatten`` is a reshape that copies nothing.
 
 Embedding lookups are expressed as matmul of a distribution row with an
 embedding matrix, so they need no dedicated op.
@@ -452,9 +449,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: bool = False) -> Tensor:
     (0,1), (1,0), (1,1) an argmax takes (zeros of either sign tie).
     Backward routes a block's gradient, recomputes its windows, forms the
     weight gradient per row shift p the same way, and folds ``w_p.T @ g``
-    back onto the input with kw strided adds.  The result is an (N, Cout,
-    oh, ow) view of a (Cout, oh, N, ow) buffer (oh and ow halved when
-    pooled), the order in which the next conv copies its windows.
+    back onto the input with kw strided adds.  The result is (N, Cout, oh,
+    ow), oh and ow halved when pooled; each block's GEMM output, ordered
+    (Cout, oh, m, ow), is transposed as it is written into it.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError("conv2d: expected x(N,C,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
@@ -470,7 +467,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: bool = False) -> Tensor:
     step = max(1, CONV_BLOCK_BYTES // (8 * cin * kw * h * ow))
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     wp = np.ascontiguousarray(w.data.transpose(2, 0, 1, 3)).reshape(kh, cout, cin * kw)
-    out = np.empty((cout, oh // 2, n, ow // 2) if pool else (cout, oh, n, ow))
+    out = np.empty((n, cout, oh // 2, ow // 2) if pool else (n, cout, oh, ow))
     routes = []  # per pooled block: is the max in the top row, in the left column
     for blk in blocks:
         cols = _windows(x.data[blk], kw)
@@ -485,7 +482,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: bool = False) -> Tensor:
             pooled = np.maximum(pairs[:, 0::2], pairs[:, 1::2])
             routes.append((pairs[:, 0::2] == pooled, ob[..., 0::2] == pairs))
             ob = pooled
-        out[:, :, blk] = ob
+        out[blk] = ob.transpose(2, 0, 1, 3)
 
     def back(g):
         gt = g.transpose(1, 2, 0, 3)
@@ -519,7 +516,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: bool = False) -> Tensor:
         if gx is not None:
             _accumulate(x, gx.transpose(2, 0, 1, 3))
 
-    return Tensor._from_op(out.transpose(2, 0, 1, 3), (x, w, b), back)
+    return Tensor._from_op(out, (x, w, b), back)
 
 
 def flatten(x: Tensor, start: int = 0) -> Tensor:

@@ -31,7 +31,10 @@ def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
                 pairs: list[tuple[int, int]]) -> np.ndarray:
     """Stack filter inputs [e_i, b~_i, b~_j, e_j], one row per ordered pair."""
     ij = pair_index(pairs)
-    dists = np.array([p.label_dist for p in scene.proposals]).reshape(-1, table.n_classes)
+    dists = np.array([p.label_dist for p in scene.proposals] or np.zeros((0, table.n_classes)))
+    if dists.shape[1] != table.n_classes:
+        raise ValueError(f"{scene.id}: label_dist length {dists.shape[1]} != "
+                         f"{table.n_classes} classes")
     emb = table.embed(dists)
     b = scene.boxes[ij]  # (P, 2, 4) subject and object boxes
     frame = union_frame(b[:, 0], b[:, 1]).reshape(-1, 8)

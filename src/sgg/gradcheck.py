@@ -135,9 +135,9 @@ def pipeline_gradient_check(seed: int = 0, eps: float = 1e-5) -> float:
 
     The model is evaluated at a random offset from its initialisation so that
     no relu sits exactly on its kink (fresh conv biases are zero, which would
-    put every empty mask window on one).  Candidate pairs come from the
-    confidence fallback, which depends only on the scene, so the edge set
-    stays fixed while parameters are nudged.
+    put every empty mask window on one).  Like a training step, the check
+    runs on every ordered pair of the scene (``prepare_scene``), so the
+    edge set stays fixed while parameters are nudged.
     """
     config = ModelConfig(dims=PIPELINE_DIMS, iterations=2, use_srf=False)
     params = init_model_params(config, seed)

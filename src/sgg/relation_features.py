@@ -14,10 +14,10 @@ and ``pair_geometry`` builds both for a whole pair list in one
 along the width only: one copy of its kw-wide windows (up to 5 copies of
 each mask cell for conv1, where an im2col makes up to 25) and kh GEMMs
 over it.  So its memory grows with the conv outputs, not with an im2col
-matrix of every pair, and ReLU and the next conv keep the layout the conv
-writes.  The first conv is pooled inside its blocks, before its ReLU, so
-the tape holds no full-resolution conv1 output and the ReLU runs on a
-quarter of the cells; the order is exact (see ``spatial_features``).
+matrix of every pair.  The first conv is pooled inside its blocks, before
+its ReLU, so the tape holds no full-resolution conv1 output and the ReLU
+runs on a quarter of the cells; the order is exact (see
+``spatial_features``).
 """
 
 from __future__ import annotations

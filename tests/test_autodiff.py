@@ -125,8 +125,8 @@ def _channel_major(a):
 
 
 def _conv_layout(a):
-    """The same values as ``a`` (N, C, H, W), stored (C, H, N, W) as
-    ``conv2d`` stores its output."""
+    """The same values as ``a`` (N, C, H, W), stored (C, H, N, W): the axis
+    order in which ``_windows`` reads a block."""
     return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3)
 
 
@@ -140,7 +140,7 @@ def _assert_close(actual, expected, rtol=1e-12):
 def test_conv2d_matches_einsum_across_ragged_blocks(monkeypatch, seed, x_grad):
     """Blocks of 3 instances (the last one ragged) give the direct
     convolution and its gradients, for contiguous, channel-major and
-    conv-output-stored inputs."""
+    (C, H, N, W)-stored inputs."""
     rng = np.random.default_rng(seed)
     n = 3 * int(rng.integers(1, 4)) + int(rng.integers(1, 3))
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -317,8 +317,8 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
     """``spatial_features`` at default ``Dims`` on every ordered pair of a
     17-proposal scene, ragged across the blocks of both convs, matches
     einsum conv, ReLU, argmax pooling, conv, ReLU: the output and all four
-    conv parameter gradients.  The pooled conv, the ReLU and the second conv
-    keep the (C, H, N, W) storage that ``conv2d`` writes."""
+    conv parameter gradients.  Both conv results are plain C-contiguous
+    arrays, so the output is a view of the second ReLU's data."""
     dims = Dims(n_classes=7, n_predicates=6)
     scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
     masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
@@ -332,6 +332,11 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
         t.data += rng.normal(0.0, 0.05, t.data.shape)  # biases off zero
     g = rng.normal(size=(n, dims.spatial_len))
     out = spatial_features(masks, params)
+    relu2 = out._parents[0]
+    conv2 = relu2._parents[0]
+    conv1 = conv2._parents[0]._parents[0]
+    assert conv1.data.flags.c_contiguous and conv2.data.flags.c_contiguous
+    assert np.shares_memory(out.data, relu2.data)
     backward(matmul(flatten(out), Tensor(g.reshape(-1))))
 
     w1, b1, w2, b2 = (t.data for t in (params.conv1_w, params.conv1_b,
@@ -346,10 +351,6 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
     for t, expect in ((params.conv1_w, gw1), (params.conv1_b, gb1),
                       (params.conv2_w, gw2), (params.conv2_b, gb2)):
         _assert_close(t.grad, expect)
-
-    pooled = conv2d(Tensor(masks), params.conv1_w, params.conv1_b, pool=True)
-    for t in (pooled, relu(pooled), relu(conv2d(relu(pooled), params.conv2_w, params.conv2_b))):
-        assert t.data.transpose(1, 2, 0, 3).flags.c_contiguous
 
 
 def test_relu_subgradient_zero_at_zero():
@@ -449,6 +450,13 @@ EVERY_OP = {
                                                                        [0, 2, 1, 1]),
     "binary_logistic_loss": lambda r: binary_logistic_loss(_leaf(r, 6), [0, 1, 1, 0, 1, 0]),
 }
+
+
+@pytest.mark.parametrize("op", sorted(EVERY_OP))
+def test_every_op_returns_c_contiguous_data(op):
+    """No op hands out a transposed or strided view, so a consumer such as
+    ``flatten`` reshapes without a copy."""
+    assert EVERY_OP[op](np.random.default_rng(5)).data.flags.c_contiguous
 
 
 @pytest.mark.parametrize("op", sorted(EVERY_OP))

@@ -50,8 +50,11 @@ def write(path, text):
     return str(path)
 
 
-def gen_corpus(tmp_path, name="scenes.jsonl"):
-    cfg = write(tmp_path / "gen.cfg", GEN_CFG)
+def gen_corpus(tmp_path, name="scenes.jsonl", **edits):
+    """A corpus drawn from ``GEN_CFG``, with ``edits`` in place of its settings."""
+    lines = [ln for ln in GEN_CFG.splitlines() if ln.split(" = ")[0] not in edits]
+    cfg = write(tmp_path / f"{name}.cfg",
+                "\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
     out = str(tmp_path / name)
     assert run(["gen", "--out", out, "--config", cfg, "--seed", "0"]) == 0
     return out
@@ -491,6 +494,47 @@ def test_eval_gt_class_out_of_range_names_the_scene(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scene_id}: gt object class 9 out of range for 4 "
                           f"classes"), err
+
+
+# corpora whose label distributions are shorter than a 7-class model's: 7
+# proposals of 5 classes fill 5 rows of 7, and 3-4 proposals of 4 classes fill
+# no whole number of rows
+OTHER_CLASSES = [{"n_object_classes": 4, "min_objects": 7, "max_objects": 7, "dropout": 0},
+                 {}]
+
+
+@pytest.mark.parametrize("edits", OTHER_CLASSES, ids=["7-of-5-classes", "4-classes"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_with_the_filter_on_other_classes_names_the_scene(tmp_path, capsys, command,
+                                                               edits):
+    data = gen_corpus(tmp_path, "other.jsonl", **edits)
+    dims = Dims(n_classes=7, n_predicates=3, d_obj=8, d_emb=3, d_union=6, d_rel=6,
+                d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
+    config = ModelConfig(dims=dims, use_srf=True)
+    model = str(tmp_path / "m.ckpt")
+    save_model(model, init_model_params(
+        config, seed=0, srf=init_srf_params(dims, np.random.default_rng(0))), config)
+    capsys.readouterr()
+    assert run([command, "--data", data, "--model", model, "--out", str(tmp_path / "o")]) == 1
+    length = 1 + edits.get("n_object_classes", 3)
+    assert capsys.readouterr().err == (f"error: scene-0000: label_dist length {length} != "
+                                       f"7 classes\n")
+
+
+@pytest.mark.parametrize("edits", OTHER_CLASSES, ids=["7-of-5-classes", "4-classes"])
+def test_train_srf_on_mixed_class_counts_names_the_scene(tmp_path, capsys, edits):
+    """The filter takes its class count from the first scene, so the first
+    scene of the other corpus is refused."""
+    seven = open(gen_corpus(tmp_path, "seven.jsonl", n_object_classes=6)).read()
+    other = open(gen_corpus(tmp_path, "other.jsonl", **edits)).read().replace(
+        '"id": "scene-', '"id": "other-')
+    data = write(tmp_path / "mixed.jsonl", seven + other)
+    capsys.readouterr()
+    assert run(["train-srf", "--data", data, "--out", str(tmp_path / "f.ckpt"),
+                "--config", write(tmp_path / "srf.cfg", SRF_CFG)]) == 1
+    length = 1 + edits.get("n_object_classes", 3)
+    assert capsys.readouterr().err == (f"error: other-0000: label_dist length {length} != "
+                                       f"7 classes\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
