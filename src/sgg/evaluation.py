@@ -88,10 +88,9 @@ def substitute_gt_boxes(scene: SceneRecord, n_classes: int, d_obj: int,
             dist = one_hot(g.cls, n_classes)
         else:
             dist = best.label_dist if best is not None else np.full(n_classes, 1.0 / n_classes)
-        props.append(ObjectProposal(box=g.box, feature=feature, label_dist=dist,
-                                    gt_class=g.cls))
-    return SceneRecord(id=scene.id, image_size=scene.image_size, proposals=tuple(props),
-                       gt_objects=scene.gt_objects, gt_triplets=scene.gt_triplets)
+        props.append(ObjectProposal(box=g.box, feature=feature, label_dist=dist))
+    return SceneRecord(id=scene.id, proposals=tuple(props), gt_objects=scene.gt_objects,
+                       gt_triplets=scene.gt_triplets)
 
 
 def scene_for_mode(scene: SceneRecord, mode: str, config: ModelConfig) -> SceneRecord:

@@ -123,9 +123,9 @@ def _pipeline_scene(rng, dims: Dims) -> SceneRecord:
         z = rng.normal(size=dims.n_classes) + 2.0 * np.eye(dims.n_classes)[cls]
         dist = np.exp(z - z.max())
         props.append(ObjectProposal(box=box, feature=rng.normal(size=dims.d_obj),
-                                    label_dist=dist / dist.sum(), gt_class=cls))
+                                    label_dist=dist / dist.sum()))
     return SceneRecord(
-        id="gradcheck-0", image_size=(64, 64), proposals=tuple(props),
+        id="gradcheck-0", proposals=tuple(props),
         gt_objects=tuple(GtObject(box=b, cls=c) for b, c in zip(boxes, classes)),
         gt_triplets=(Triplet(0, 0, 1), Triplet(1, 2, 2), Triplet(2, 1, 3)))
 

@@ -14,8 +14,9 @@ checked are those of the code that eval and predict run.
 
 Modes differ only in what the caller substitutes into the scene (gt boxes,
 one-hot labels), in whether the relation filter is bypassed (``predcls``
-bypasses it by default), and in ``predcls`` feeding the proposals' one-hot
-gt classes to the relation head instead of the predicted distributions.
+bypasses it by default), and in ``predcls`` feeding the converted scene's
+one-hot label distributions to the relation head instead of the predicted
+distributions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .message_passing import TtstParams, build_message_graph, init_ttst_params, 
 from .nn import ParamGroup, TwoLayerMlp
 from .relation_features import RelFeatParams, init_relfeat_params, pair_geometry, \
     relation_features
-from .scenes import EmbeddingTable, SceneRecord, one_hot
+from .scenes import EmbeddingTable, SceneRecord
 
 
 @dataclass
@@ -98,12 +99,13 @@ def candidate_pairs(scene: SceneRecord, params: ModelParams, config: ModelConfig
 
 @dataclass(eq=False)
 class SceneInputs:
-    """Everything ``forward`` reads from one scene and its ordered pairs; the
-    targets are set only by ``training.prepare_scene``."""
+    """The arrays ``forward`` reads for one scene and its ordered pairs, with the
+    scene for training's messages; only ``training.prepare_scene`` sets the targets."""
 
     scene: SceneRecord
     edges: list[tuple[int, int]]
     feats: np.ndarray   # (n, d_obj)
+    dists: np.ndarray   # (n, n_classes), the proposals' label distributions
     e_lang: np.ndarray  # (n, d_emb)
     masks: np.ndarray   # (len(edges), 2, mask_res, mask_res)
     visual: np.ndarray  # (len(edges), d_union)
@@ -124,8 +126,11 @@ def scene_inputs(scene: SceneRecord, params: ModelParams, config: ModelConfig,
     if dists.shape[1] != dims.n_classes:
         raise ValueError(f"{scene.id}: label_dist length {dists.shape[1]} != "
                          f"{dims.n_classes} classes")
-    masks, visual = pair_geometry(scene, edges, dims)
-    return SceneInputs(scene=scene, edges=list(edges), feats=feats,
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        masks, visual = pair_geometry(scene, edges, dims)
+    if not np.all(np.isfinite(visual)):
+        raise ValueError(f"{scene.id}: union visual features overflow float64")
+    return SceneInputs(scene=scene, edges=list(edges), feats=feats, dists=dists,
                        e_lang=params.embed.embed(dists), masks=masks, visual=visual)
 
 
@@ -141,22 +146,18 @@ def forward(inputs: SceneInputs, params: ModelParams, config: ModelConfig,
             mode: str = "sggen") -> PipelineOutput:
     """Relation features, message passing and both heads on prepared inputs.
 
-    In ``predcls`` mode the relation head reads the proposals' one-hot gt
-    classes instead of the predicted label distributions.
+    In ``predcls`` mode the relation head reads the proposals' label
+    distributions instead of the predicted ones; on a scene that
+    ``evaluation.scene_for_mode`` converted, these are the one-hot gt classes.
+    Only the arrays of ``inputs`` are read, never its scene.
     """
-    scene, edges, dims = inputs.scene, inputs.edges, config.dims
-    x_rel = relation_features(inputs.masks, inputs.visual, params.relfeat, dims)
+    edges = inputs.edges
+    x_rel = relation_features(inputs.masks, inputs.visual, params.relfeat, config.dims)
     g = build_message_graph(Tensor(inputs.feats), Tensor(inputs.e_lang), x_rel, edges,
-                            scene.n_proposals)
+                            len(inputs.feats))
     g = run_message_passing(g, params.ttst, config)
     logits = object_logits(g.x_obj, params.head)
-    if mode == "predcls":
-        if any(p.gt_class is None for p in scene.proposals):
-            raise ValueError(f"{scene.id}: predcls mode needs gt_class on proposals")
-        p_hat = Tensor(np.array([one_hot(p.gt_class, dims.n_classes)
-                                 for p in scene.proposals]).reshape(-1, dims.n_classes))
-    else:
-        p_hat = softmax(logits)
+    p_hat = Tensor(inputs.dists) if mode == "predcls" else softmax(logits)
     rel_logits = relation_logits(g.x_rel, p_hat, edges, params.head, config)
     return PipelineOutput(edges=edges, obj_logits=logits, p_hat=p_hat, rel_logits=rel_logits)
 
@@ -164,13 +165,18 @@ def forward(inputs: SceneInputs, params: ModelParams, config: ModelConfig,
 def forward_scene(scene: SceneRecord, params: ModelParams, config: ModelConfig,
                   mode: str = "sggen") -> PipelineOutput:
     """Run the pipeline on one scene (already converted for gt-box modes) over
-    the pairs that ``candidate_pairs`` keeps."""
+    the pairs that ``candidate_pairs`` keeps.  In ``predcls`` the relation
+    head reads the scene's ``label_dist``s, so an unconverted scene feeds it
+    its detector distributions, not gt classes."""
     edges, _ = candidate_pairs(scene, params, config, mode)
     return forward(scene_inputs(scene, params, config, edges), params, config, mode)
 
 
 def predict_scene(scene: SceneRecord, params: ModelParams, config: ModelConfig,
                   mode: str = "sggen") -> PredictedGraph:
-    out = forward_scene(scene, params, config, mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        out = forward_scene(scene, params, config, mode)
+    if not (np.all(np.isfinite(out.p_hat.data)) and np.all(np.isfinite(out.rel_logits.data))):
+        raise ValueError(f"{scene.id}: {mode} predictions are not finite")
     return score_triplets([p.box for p in scene.proposals], out.p_hat.data, out.edges,
                           softmax(out.rel_logits).data)

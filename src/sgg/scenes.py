@@ -2,16 +2,17 @@
 
 Scene files are line-delimited JSON, one record per line:
 
-    {"id": "scene-0000", "image_size": [512, 512],
+    {"id": "scene-0000",
      "proposals":   [{"box": [x, y, w, h], "feature": [...],
-                      "label_dist": [...], "gt_class": 3}, ...],
+                      "label_dist": [...]}, ...],
      "gt_objects":  [{"box": [x, y, w, h], "class": 2}, ...],
      "gt_triplets": [{"sub": 0, "pred": 1, "obj": 2}, ...],
      "pair_visual": {"0,1": [...]}}
 
-``gt_class`` and ``pair_visual`` are optional (``gt_class`` may be null).
-Boxes are [x, y, w, h] with positive width and height; ``label_dist`` is a
-distribution over object classes where index 0 is the background class.
+``pair_visual`` is optional, and keys outside this format are ignored.
+Boxes are [x, y, w, h] with x < x + w, y < y + h and 0 < w * h, all finite
+in float64; ``label_dist`` is a distribution over object classes where index
+0 is the background class.  Scene ids are unique within a file.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ class Box:
     h: float
 
     def __post_init__(self):
-        vals = (self.x, self.y, self.w, self.h)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"box fields must be finite, got {vals}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box extent must be positive, got w={self.w} h={self.h}")
+        x, y, w, h = self.x, self.y, self.w, self.h
+        # also false for a nan or inf field
+        if not (x < x + w < math.inf and y < y + h < math.inf and 0 < w * h < math.inf):
+            raise ValueError(f"box needs x < x + w, y < y + h and 0 < w * h, all finite, "
+                             f"got [x, y, w, h] = {[x, y, w, h]}")
 
     @property
     def x2(self) -> float:
@@ -111,7 +112,6 @@ class ObjectProposal:
     box: Box
     feature: np.ndarray
     label_dist: np.ndarray
-    gt_class: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
@@ -139,7 +139,6 @@ class SceneRecord:
     """One annotated scene: proposals plus ground-truth objects and triplets."""
 
     id: str
-    image_size: tuple[float, float]
     proposals: tuple[ObjectProposal, ...]
     gt_objects: tuple[GtObject, ...]
     gt_triplets: tuple[Triplet, ...]
@@ -238,13 +237,11 @@ class EmbeddingTable:
 # object's fields, a list holds values of its one kind and a tuple is a list
 # of that length; int is an index (a JSON integer) and float a finite number.
 # ``_OPTIONAL`` fields may be absent or null; pair_visual's keys are "i,j".
-_RECORD = {"image_size": (float, float),
-           "proposals": [{"box": (float,) * 4, "feature": [float], "label_dist": [float],
-                          "gt_class": int}],
+_RECORD = {"proposals": [{"box": (float,) * 4, "feature": [float], "label_dist": [float]}],
            "gt_objects": [{"box": (float,) * 4, "class": int}],
            "gt_triplets": [{"sub": int, "pred": int, "obj": int}],
            "pair_visual": {"i,j": [float]}}
-_OPTIONAL = ("gt_class", "pair_visual")
+_OPTIONAL = ("pair_visual",)
 
 
 def _shown(v) -> str:
@@ -308,7 +305,7 @@ def _record_from_json(obj, where: str) -> SceneRecord:
     try:
         _check(obj, _RECORD)
         props = tuple(_built(ObjectProposal, f"proposals[{k}]", _box(p, f"proposals[{k}]"),
-                             p["feature"], p["label_dist"], p.get("gt_class"))
+                             p["feature"], p["label_dist"])
                       for k, p in enumerate(obj["proposals"]))
         gts = tuple(_built(GtObject, f"gt_objects[{k}]", _box(g, f"gt_objects[{k}]"), g["class"])
                     for k, g in enumerate(obj["gt_objects"]))
@@ -320,15 +317,15 @@ def _record_from_json(obj, where: str) -> SceneRecord:
         pv = {tuple(map(int, key.split(","))): np.array(vec, dtype=np.float64)
               for key, vec in pv.items()}
     try:
-        return SceneRecord(id=rid, image_size=tuple(map(float, obj["image_size"])),
-                           proposals=props, gt_objects=gts, gt_triplets=trips, pair_visual=pv)
+        return SceneRecord(id=rid, proposals=props, gt_objects=gts, gt_triplets=trips,
+                           pair_visual=pv)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_scenes(path) -> list[SceneRecord]:
     """Read a line-delimited scene file; errors carry the line number and id."""
-    out = []
+    out, used = [], {}  # scene id -> the line that used it
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
@@ -338,16 +335,18 @@ def load_scenes(path) -> list[SceneRecord]:
             except ValueError as exc:  # a decode error, or an integer of too many digits
                 raise ValueError(f"{path}: line {ln}: malformed JSON: {exc}") from exc
             out.append(_record_from_json(obj, f"{path}: line {ln}"))
+            if used.setdefault(out[-1].id, ln) != ln:
+                raise ValueError(f"{path}: line {ln}: scene id '{out[-1].id}' is already "
+                                 f"used on line {used[out[-1].id]}")
     return out
 
 
 def _record_to_json(s: SceneRecord) -> dict:
     obj = {
         "id": s.id,
-        "image_size": [s.image_size[0], s.image_size[1]],
         "proposals": [
             {"box": p.box.as_list(), "feature": p.feature.tolist(),
-             "label_dist": p.label_dist.tolist(), "gt_class": p.gt_class}
+             "label_dist": p.label_dist.tolist()}
             for p in s.proposals
         ],
         "gt_objects": [{"box": g.box.as_list(), "class": g.cls} for g in s.gt_objects],

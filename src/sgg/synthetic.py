@@ -192,7 +192,6 @@ def generate_scene(cfg: SynthConfig, index: int, prototypes: np.ndarray | None =
             box=_jitter_box(g.box, rng, cfg.box_jitter),
             feature=feats[i],
             label_dist=_softmax(scores),
-            gt_class=g.cls,
         ))
     for _ in range(int(rng.binomial(n, cfg.dropout))):
         c = int(rng.integers(cfg.n_object_classes))
@@ -201,12 +200,10 @@ def generate_scene(cfg: SynthConfig, index: int, prototypes: np.ndarray | None =
             box=_random_box(rng),
             feature=feature,
             label_dist=_softmax(rng.normal(0.0, 1.5, cfg.n_classes)),
-            gt_class=None,
         ))
 
-    return SceneRecord(id=f"scene-{index:04d}", image_size=(CANVAS, CANVAS),
-                       proposals=tuple(proposals), gt_objects=tuple(gt),
-                       gt_triplets=tuple(triplets))
+    return SceneRecord(id=f"scene-{index:04d}", proposals=tuple(proposals),
+                       gt_objects=tuple(gt), gt_triplets=tuple(triplets))
 
 
 def generate_dataset(cfg: SynthConfig) -> list[SceneRecord]:

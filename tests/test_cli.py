@@ -244,14 +244,6 @@ def test_bad_k_list_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def _break_image_size_scalar(rec):
-    rec["image_size"] = 5
-
-
-def _break_image_size_short(rec):
-    rec["image_size"] = [1]
-
-
 def _break_to_list(rec):
     return [rec["id"]]
 
@@ -269,8 +261,7 @@ def _break_label_dist_lengths(rec):
 
 
 @pytest.mark.parametrize("breaker", [
-    _break_image_size_scalar, _break_image_size_short, _break_to_list,
-    _break_nan_label_dist, _break_feature_lengths, _break_label_dist_lengths,
+    _break_to_list, _break_nan_label_dist, _break_feature_lengths, _break_label_dist_lengths,
 ])
 def test_malformed_corpus_line_exits_1_naming_the_line(tmp_path, capsys, breaker):
     lines = open(gen_corpus(tmp_path)).read().splitlines()
@@ -295,7 +286,16 @@ def _set_field(*path_and_value):
     return edit
 
 
+def _both(first, second):
+    """A corpus edit making ``first`` and then ``second``."""
+    def edit(rec):
+        first(rec)
+        second(rec)
+    return edit
+
+
 NOT_AN_INTEGER = [("3", '"3"'), (True, "true"), (1.5, "1.5"), (1e308, "1e+308")]
+BOX_RULE = "box needs x < x + w, y < y + h and 0 < w * h, all finite, got [x, y, w, h] = "
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -307,15 +307,25 @@ NOT_AN_INTEGER = [("3", '"3"'), (True, "true"), (1.5, "1.5"), (1e308, "1e+308")]
     *[(_set_field("gt_objects", 0, "class", value),
        f"gt_objects[0].class: expected an integer, got {shown}")
       for value, shown in NOT_AN_INTEGER],
-    (_set_field("proposals", 1, "gt_class", 2.0),
-     "proposals[1].gt_class: expected an integer, got 2.0"),
     (_set_field("proposals", 1, "feature", 0, "1"),
      'proposals[1].feature[0]: expected a finite number, got "1"'),
     (_set_field("proposals", 1, "feature", 0, 10**400),
      f"proposals[1].feature[0]: expected a finite number, got {10**400}"),
+    # both areas underflow to 0, so their IoU divided by 0
+    (_both(_set_field("proposals", 0, "box", [0, 0, 1e-170, 1e-170]),
+           _set_field("gt_objects", 0, "box", [0, 0, 1e-170, 1e-170])),
+     f"proposals[0].box: {BOX_RULE}[0.0, 0.0, 1e-170, 1e-170]"),
+    # x + w == x, so the two boxes' union frame divided 0 by 0
+    (_both(_set_field("proposals", 0, "box", [1, 1, 1e-170, 1e-170]),
+           _set_field("proposals", 1, "box", [1, 1, 1e-170, 1e-170])),
+     f"proposals[0].box: {BOX_RULE}[1.0, 1.0, 1e-170, 1e-170]"),
+    # the far corner and the area are inf
+    (_set_field("proposals", 0, "box", [1e308] * 4),
+     f"proposals[0].box: {BOX_RULE}[1e+308, 1e+308, 1e+308, 1e+308]"),
 ], ids=["no-sub", "proposal-3", *[f"pred-{v!r}" for v, _ in NOT_AN_INTEGER],
-        *[f"class-{v!r}" for v, _ in NOT_AN_INTEGER], "gt_class-2.0", "feature-str",
-        "feature-1e400"])
+        *[f"class-{v!r}" for v, _ in NOT_AN_INTEGER], "feature-str",
+        "feature-1e400", "box-area-underflows", "box-corner-equals-origin",
+        "box-corner-overflows"])
 @pytest.mark.parametrize("command", [["train-srf"], ["train", "--no-srf"]],
                          ids=["train-srf", "train"])
 def test_corpus_field_error_exits_1_naming_file_line_and_field(tmp_path, capsys, edit,
@@ -328,6 +338,61 @@ def test_corpus_field_error_exits_1_naming_file_line_and_field(tmp_path, capsys,
     capsys.readouterr()
     assert run([*command, "--data", path, "--out", str(tmp_path / "x.ckpt")]) == 1
     assert capsys.readouterr().err == f"error: {path}: line 2 ({rec['id']}): {message}\n"
+
+
+def _edited_line_2(tmp_path, data, edit):
+    """A copy of the corpus whose second record went through ``edit``."""
+    lines = open(data).read().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    return write(tmp_path / "edited.jsonl", "\n".join(lines) + "\n"), rec["id"]
+
+
+def _wide_features(rec):
+    for p in rec["proposals"]:
+        p["feature"] = [1.5e308] * len(p["feature"])
+
+
+def test_union_visual_that_overflows_exits_1_naming_the_scene(tmp_path, capsys):
+    """The mean of two proposal features overflows although each is finite."""
+    path, scene_id = _edited_line_2(tmp_path, gen_corpus(tmp_path), _wide_features)
+    dims = Dims(n_classes=4, n_predicates=3, d_obj=8, d_emb=3, d_union=16, d_rel=6,
+                d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
+    config = ModelConfig(dims=dims, use_srf=False)
+    model = str(tmp_path / "m.ckpt")
+    save_model(model, init_model_params(config, seed=0), config)
+    message = f"error: {scene_id}: union visual features overflow float64\n"
+    for command in (["predict", "--model", model], ["train", "--no-srf", "--config",
+                                                    write(tmp_path / "t.cfg", "d_union = 16\n")]):
+        capsys.readouterr()
+        assert run([*command, "--data", path, "--out", str(tmp_path / "out")]) == 1, command
+        assert capsys.readouterr().err == message, command
+
+
+def _wide_pair_visuals(rec):
+    n = len(rec["proposals"])
+    rec["pair_visual"] = {f"{i},{j}": [1e308] * 6 for i in range(n) for j in range(n) if i != j}
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_predictions_that_overflow_exit_1_naming_scene_and_mode(tmp_path, capsys, command):
+    path, scene_id = _edited_line_2(tmp_path, gen_corpus(tmp_path), _wide_pair_visuals)
+    model = _checkpoint_with(tmp_path / "m.ckpt", "meta.dims", lambda v: v)
+    capsys.readouterr()
+    assert run([command, "--data", path, "--model", model, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {scene_id}: sggen predictions are not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_scene_id_used_twice_exits_1_naming_both_lines(tmp_path, capsys):
+    text = open(gen_corpus(tmp_path)).read()
+    path = write(tmp_path / "twice.jsonl", text + text)
+    model = _checkpoint_with(tmp_path / "m.ckpt", "meta.dims", lambda v: v)
+    capsys.readouterr()
+    assert run(["eval", "--data", path, "--model", model, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 13: scene id 'scene-0000' is "
+                                       f"already used on line 1\n")
 
 
 @pytest.mark.parametrize("command,setting,field", [

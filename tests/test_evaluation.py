@@ -1,14 +1,18 @@
 """Triplet matching, recall@K, mAP, and protocol scene conversion."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from sgg.config import Dims, ModelConfig
 from sgg.evaluation import (EvalTriplet, detection_map, format_metrics_kv,
                             format_metrics_table, EvalResult, gt_eval_triplets,
-                            match_triplets, recall_at_k, substitute_gt_boxes)
+                            match_triplets, recall_at_k, scene_for_mode, substitute_gt_boxes)
+from sgg.filter import ordered_pairs
 from sgg.inference import PredictedGraph
+from sgg.model import forward, init_model_params, scene_inputs
 from sgg.scenes import Box, GtObject, ObjectProposal, SceneRecord, Triplet, iou
 
 
@@ -136,8 +140,8 @@ def test_matching_is_scale_invariant():
 def eval_scene():
     gt_boxes = [Box(0, 0, 10, 10), Box(30, 0, 10, 10)]
     props = (ObjectProposal(box=Box(1, 0, 10, 10), feature=np.arange(4.0),
-                            label_dist=np.array([0.1, 0.6, 0.3]), gt_class=1),)
-    return SceneRecord(id="e", image_size=(64, 64), proposals=props,
+                            label_dist=np.array([0.1, 0.6, 0.3])),)
+    return SceneRecord(id="e", proposals=props,
                        gt_objects=(GtObject(box=gt_boxes[0], cls=1),
                                    GtObject(box=gt_boxes[1], cls=2)),
                        gt_triplets=(Triplet(0, 0, 1),))
@@ -157,7 +161,19 @@ def test_substitute_gt_boxes_predcls_one_hot():
     out = substitute_gt_boxes(eval_scene(), n_classes=3, d_obj=4, one_hot_labels=True)
     np.testing.assert_array_equal(out.proposals[0].label_dist, [0, 1, 0])
     np.testing.assert_array_equal(out.proposals[1].label_dist, [0, 0, 1])
-    assert all(p.gt_class == g.cls for p, g in zip(out.proposals, out.gt_objects))
+
+
+def test_predcls_forward_reads_the_converted_one_hots_and_no_scene():
+    dims = Dims(n_classes=3, n_predicates=2, d_obj=4, d_emb=2, d_union=4, d_rel=4, d_pe=2,
+                mask_res=10, conv1_channels=2, conv2_channels=2)
+    config = ModelConfig(dims=dims, iterations=1, use_srf=False)
+    params = init_model_params(config, seed=0)
+    scene = scene_for_mode(eval_scene(), "predcls", config)
+    inputs = scene_inputs(scene, params, config, ordered_pairs(scene.n_proposals))
+    out = forward(dataclasses.replace(inputs, scene=None), params, config, "predcls")
+    dists = np.stack([p.label_dist for p in scene.proposals])
+    np.testing.assert_array_equal(dists, [[0, 1, 0], [0, 0, 1]])  # the gt classes, one-hot
+    assert out.p_hat.data.tobytes() == dists.tobytes()
 
 
 def test_substitute_gt_boxes_rejects_a_class_the_model_lacks():
@@ -193,7 +209,7 @@ def test_map_is_one_for_perfect_detections():
 
 def test_map_hand_computed_with_false_positive():
     scene = SceneRecord(
-        id="m", image_size=(64, 64), proposals=(),
+        id="m", proposals=(),
         gt_objects=(GtObject(box=Box(0, 0, 10, 10), cls=1),
                     GtObject(box=Box(30, 0, 10, 10), cls=1)),
         gt_triplets=())

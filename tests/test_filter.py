@@ -17,11 +17,11 @@ def tiny_scene():
     # boxes 0 and 1 overlap at IoU 0.25, so neither matches the other's gt
     boxes = [Box(0, 0, 10, 10), Box(6, 0, 10, 10), Box(40, 40, 8, 8)]
     props = tuple(ObjectProposal(box=b, feature=np.zeros(4),
-                                 label_dist=np.full(4, 0.25), gt_class=None)
+                                 label_dist=np.full(4, 0.25))
                   for b in boxes)
     gts = (GtObject(box=boxes[0], cls=1), GtObject(box=boxes[1], cls=2),
            GtObject(box=boxes[2], cls=3))
-    return SceneRecord(id="t", image_size=(64, 64), proposals=props,
+    return SceneRecord(id="t", proposals=props,
                        gt_objects=gts, gt_triplets=(Triplet(0, 1, 1),))
 
 
@@ -113,8 +113,7 @@ def test_training_labels_mark_overlapping_gt_pairs():
 
 def test_training_labels_empty_scene():
     scene = tiny_scene()
-    bare = SceneRecord(id="b", image_size=scene.image_size,
-                       proposals=scene.proposals[:1], gt_objects=scene.gt_objects,
+    bare = SceneRecord(id="b", proposals=scene.proposals[:1], gt_objects=scene.gt_objects,
                        gt_triplets=scene.gt_triplets)
     pairs, labels = srf_training_labels(bare)
     assert pairs == [] and labels.size == 0
@@ -175,7 +174,7 @@ def scenes_and_pairs(draw, min_n=0):
         box = Box(draw(_coord), draw(_coord), draw(_extent), draw(_extent))
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)))
         props.append(ObjectProposal(box=box, feature=np.zeros(2), label_dist=w / w.sum()))
-    scene = SceneRecord(id="h", image_size=(128, 128), proposals=tuple(props),
+    scene = SceneRecord(id="h", proposals=tuple(props),
                         gt_objects=(), gt_triplets=())
     pairs = draw(st.lists(st.sampled_from(ordered_pairs(n)), max_size=15)) if n > 1 else []
     return scene, pairs

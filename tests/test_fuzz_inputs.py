@@ -152,7 +152,7 @@ def test_corpus_with_one_value_replaced_trains_or_exits_1(inputs, capsys, data):
 
 
 # the path of a record field in an error message, such as gt_triplets[0].sub
-FIELD_PATH = re.compile(r"\b(id|image_size|proposals|gt_objects|gt_triplets|pair_visual)\b"
+FIELD_PATH = re.compile(r"\b(id|proposals|gt_objects|gt_triplets|pair_visual)\b"
                         r"(\[\d+\]|\.\w+)*")
 
 

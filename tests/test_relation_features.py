@@ -140,9 +140,9 @@ def test_relation_features_shapes_and_empty():
     params = init_relfeat_params(DIMS, np.random.default_rng(1))
     props = tuple(ObjectProposal(box=Box(3 * k, 2 * k, 6, 5),
                                  feature=np.linspace(0, 1, DIMS.d_obj),
-                                 label_dist=np.full(4, 0.25), gt_class=None)
+                                 label_dist=np.full(4, 0.25))
                   for k in range(3))
-    scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
+    scene = SceneRecord(id="s", proposals=props,
                         gt_objects=(), gt_triplets=())
     masks, visual = pair_geometry(scene, [(0, 1), (2, 0)], DIMS)
     assert masks.shape == (2, 2, DIMS.mask_res, DIMS.mask_res)
@@ -156,9 +156,9 @@ def test_relation_features_shapes_and_empty():
 def test_union_visual_truncates_and_pads():
     props = tuple(ObjectProposal(box=Box(4 * k, k, 5, 5),
                                  feature=np.arange(1.0, 7.0),
-                                 label_dist=np.full(4, 0.25), gt_class=None)
+                                 label_dist=np.full(4, 0.25))
                   for k in range(2))
-    scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
+    scene = SceneRecord(id="s", proposals=props,
                         gt_objects=(), gt_triplets=())
     v = union_visual(scene, [(0, 1)], d_union=6)[0]
     assert v.shape == (6,)
@@ -173,10 +173,10 @@ def test_union_visual_truncates_and_pads():
 
 def test_pair_visual_passthrough():
     props = tuple(ObjectProposal(box=Box(4 * k, k, 5, 5), feature=np.zeros(6),
-                                 label_dist=np.full(4, 0.25), gt_class=None)
+                                 label_dist=np.full(4, 0.25))
                   for k in range(2))
     custom = np.arange(6.0)
-    scene = SceneRecord(id="s", image_size=(32, 32), proposals=props,
+    scene = SceneRecord(id="s", proposals=props,
                         gt_objects=(), gt_triplets=(),
                         pair_visual={(0, 1): custom})
     np.testing.assert_array_equal(union_visual(scene, [(0, 1)], 6)[0], custom)
@@ -224,7 +224,7 @@ def visual_cases(draw):
         lengths = st.sampled_from([d_union] * 6 + [d_union + 1, max(d_union - 1, 0)])
         pooled = {k: np.arange(draw(lengths), dtype=np.float64) + 7 * k[0] + k[1]
                   for k in keys}
-    scene = SceneRecord(id="v", image_size=(128, 128), proposals=props, gt_objects=(),
+    scene = SceneRecord(id="v", proposals=props, gt_objects=(),
                         gt_triplets=(), pair_visual=pooled)
     return scene, draw(st.lists(st.sampled_from(ordered_pairs(n)), max_size=12)), d_union
 
@@ -238,11 +238,11 @@ def _outcome(fn):
 
 @settings(deadline=None, max_examples=300)
 @given(case=visual_cases())
-@example(case=(SceneRecord(id="w", image_size=(9, 9), proposals=tuple(
+@example(case=(SceneRecord(id="w", proposals=tuple(
     ObjectProposal(box=Box(k, k, 2, 3), feature=np.ones(D_OBJ), label_dist=np.full(4, 0.25))
     for k in range(3)), gt_objects=(), gt_triplets=(),
     pair_visual={(0, 1): np.zeros(8), (2, 1): np.zeros(9)}), [(1, 2), (2, 1), (0, 1)], 8))
-@example(case=(SceneRecord(id="w", image_size=(9, 9), proposals=tuple(
+@example(case=(SceneRecord(id="w", proposals=tuple(
     ObjectProposal(box=Box(k, k, 2, 3), feature=np.ones(D_OBJ), label_dist=np.full(4, 0.25))
     for k in range(3)), gt_objects=(), gt_triplets=(),
     pair_visual={(0, 1): np.zeros(7), (2, 1): np.zeros(9)}), [(1, 2), (2, 1), (0, 1)], 8))

@@ -1,10 +1,12 @@
 """Geometry, record validation, embeddings, and scene file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
-from sgg.scenes import (Box, EmbeddingTable, GtObject, ObjectProposal,
-                        SceneRecord, Triplet, iou, load_scenes, one_hot,
+from sgg.scenes import (_RECORD, Box, EmbeddingTable, GtObject, ObjectProposal,
+                        SceneRecord, Triplet, _record_to_json, iou, load_scenes, one_hot,
                         save_scenes, union_frame)
 
 
@@ -16,10 +18,10 @@ def make_scene(scene_id="s0", n=3):
         dist = np.full(4, 0.1)
         dist[k % 4] = 0.7
         props.append(ObjectProposal(box=box, feature=rng.normal(size=5),
-                                    label_dist=dist, gt_class=(k % 3) + 1))
+                                    label_dist=dist))
         gts.append(GtObject(box=box, cls=(k % 3) + 1))
     triplets = (Triplet(0, 1, 1), Triplet(1, 0, 2)) if n >= 3 else ()
-    return SceneRecord(id=scene_id, image_size=(64, 48), proposals=tuple(props),
+    return SceneRecord(id=scene_id, proposals=tuple(props),
                        gt_objects=tuple(gts), gt_triplets=triplets)
 
 
@@ -96,24 +98,24 @@ def test_one_hot():
 def test_scene_rejects_out_of_range_triplet():
     s = make_scene()
     with pytest.raises(ValueError, match=r"gt_triplets\[0\]"):
-        SceneRecord(id="bad", image_size=s.image_size, proposals=s.proposals,
+        SceneRecord(id="bad", proposals=s.proposals,
                     gt_objects=s.gt_objects, gt_triplets=(Triplet(0, 1, 9),))
 
 
 def test_scene_rejects_self_relation():
     s = make_scene()
     with pytest.raises(ValueError, match="itself"):
-        SceneRecord(id="bad", image_size=s.image_size, proposals=s.proposals,
+        SceneRecord(id="bad", proposals=s.proposals,
                     gt_objects=s.gt_objects, gt_triplets=(Triplet(1, 0, 1),))
 
 
 def test_proposal_rejects_non_distribution():
     with pytest.raises(ValueError):
         ObjectProposal(box=Box(0, 0, 1, 1), feature=np.zeros(3),
-                       label_dist=np.array([0.9, 0.3]), gt_class=None)
+                       label_dist=np.array([0.9, 0.3]))
     with pytest.raises(ValueError):
         ObjectProposal(box=Box(0, 0, 1, 1), feature=np.array([np.inf]),
-                       label_dist=np.array([0.5, 0.5]), gt_class=None)
+                       label_dist=np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +129,9 @@ def test_scene_round_trip_is_value_exact(tmp_path):
     back = load_scenes(path)
     assert [s.id for s in back] == ["a", "b"]
     for s, t in zip(scenes, back):
-        assert s.image_size == t.image_size
         assert s.gt_triplets == t.gt_triplets
         for p, q in zip(s.proposals, t.proposals):
-            assert p.box == q.box and p.gt_class == q.gt_class
+            assert p.box == q.box
             np.testing.assert_array_equal(p.feature, q.feature)
             np.testing.assert_array_equal(p.label_dist, q.label_dist)
         for g, h in zip(s.gt_objects, t.gt_objects):
@@ -158,6 +159,30 @@ def test_load_rejects_missing_fields(tmp_path):
     path.write_text('{"id": "x", "image_size": [4, 4]}\n')
     with pytest.raises(ValueError, match="line 1"):
         load_scenes(path)
+
+
+@pytest.mark.parametrize("gt_class", [2.0, None])
+def test_keys_outside_the_format_are_ignored(tmp_path, gt_class):
+    """Older corpora carry a scene's image_size and each proposal's gt_class."""
+    path = tmp_path / "scenes.jsonl"
+    save_scenes(path, [make_scene()])
+    rec = json.loads(path.read_text())
+    old = dict(rec, image_size=5, proposals=[dict(p, gt_class=gt_class)
+                                             for p in rec["proposals"]])
+    path.write_text(json.dumps(old) + "\n")
+    assert _record_to_json(load_scenes(path)[0]) == rec
+
+
+def test_the_saver_writes_exactly_the_format_keys():
+    """Nothing is written that the loader does not read."""
+    s = make_scene()
+    pooled = SceneRecord(id=s.id, proposals=s.proposals, gt_objects=s.gt_objects,
+                         gt_triplets=s.gt_triplets, pair_visual={(0, 1): np.zeros(2)})
+    assert set(_record_to_json(s)) == {"id", *_RECORD} - {"pair_visual"}
+    obj = _record_to_json(pooled)
+    assert set(obj) == {"id", *_RECORD}
+    for name in ("proposals", "gt_objects", "gt_triplets"):
+        assert all(set(item) == set(_RECORD[name][0]) for item in obj[name]), name
 
 
 def test_empty_lines_are_skipped(tmp_path):

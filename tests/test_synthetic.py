@@ -93,11 +93,10 @@ def test_proposal_boxes_hold_python_floats():
 
 
 def test_zero_dropout_keeps_every_object_in_order():
-    cfg = SynthConfig(num_scenes=5, dropout=0.0, seed=2, d_obj=4,
+    cfg = SynthConfig(num_scenes=5, dropout=0.0, box_jitter=0.0, seed=2, d_obj=4,
                       n_object_classes=3, n_predicates=2)
     for scene in generate_dataset(cfg):
-        assert len(scene.proposals) == len(scene.gt_objects)
-        assert [p.gt_class for p in scene.proposals] == [g.cls for g in scene.gt_objects]
+        assert [p.box for p in scene.proposals] == [g.box for g in scene.gt_objects]
 
 
 def test_full_dropout_leaves_only_distractors():
@@ -105,7 +104,7 @@ def test_full_dropout_leaves_only_distractors():
                       n_object_classes=3, n_predicates=2)
     for scene in generate_dataset(cfg):
         assert len(scene.proposals) == len(scene.gt_objects)  # binomial(n, 1) = n
-        assert all(p.gt_class is None for p in scene.proposals)
+        assert not {p.box for p in scene.proposals} & {g.box for g in scene.gt_objects}
 
 
 def test_feature_noise_does_not_move_geometry():
@@ -121,8 +120,9 @@ def test_noiseless_features_equal_prototypes():
     cfg = SynthConfig(num_scenes=3, feature_noise=0.0, dropout=0.0, seed=4, d_obj=4)
     protos = class_prototypes(cfg)
     for scene in generate_dataset(cfg):
-        for p in scene.proposals:
-            np.testing.assert_array_equal(p.feature, protos[p.gt_class - 1])
+        assert len(scene.proposals) == len(scene.gt_objects)
+        for p, g in zip(scene.proposals, scene.gt_objects):
+            np.testing.assert_array_equal(p.feature, protos[g.cls - 1])
 
 
 def test_confusable_collapses_consecutive_prototype_pairs():

@@ -27,10 +27,9 @@ def dist(cls):
 def related_scene(sid, dx=0.0):
     """Subject left of object, plus an unrelated far-away distractor."""
     boxes = [Box(0 + dx, 0, 10, 10), Box(20 + dx, 0, 10, 10), Box(40, 40, 8, 8)]
-    props = tuple(ObjectProposal(box=b, feature=np.zeros(4), label_dist=dist(c),
-                                 gt_class=c)
+    props = tuple(ObjectProposal(box=b, feature=np.zeros(4), label_dist=dist(c))
                   for b, c in zip(boxes, (1, 2, 1)))
-    return SceneRecord(id=sid, image_size=(64, 64), proposals=props,
+    return SceneRecord(id=sid, proposals=props,
                        gt_objects=(GtObject(box=boxes[0], cls=1),
                                    GtObject(box=boxes[1], cls=2)),
                        gt_triplets=(Triplet(0, 0, 1),))
@@ -38,7 +37,7 @@ def related_scene(sid, dx=0.0):
 
 def unrelated_scene(sid):
     s = related_scene(sid)
-    return SceneRecord(id=sid, image_size=s.image_size, proposals=s.proposals,
+    return SceneRecord(id=sid, proposals=s.proposals,
                        gt_objects=s.gt_objects, gt_triplets=())
 
 
@@ -135,7 +134,7 @@ def test_main_requires_filter_when_enabled():
 
 
 def test_main_rejects_empty_corpus():
-    empty = SceneRecord(id="e", image_size=(64, 64), proposals=(),
+    empty = SceneRecord(id="e", proposals=(),
                         gt_objects=(), gt_triplets=())
     with pytest.raises(ValueError, match="no trainable scenes"):
         train_main([empty], synth_model_config(), TrainConfig(epochs=1))
@@ -144,8 +143,7 @@ def test_main_rejects_empty_corpus():
 def test_main_rejects_corpus_without_pairs():
     """The main stage supervises every ordered pair and runs no filter, so a
     corpus of one-proposal scenes is refused for having no pairs."""
-    scenes = [SceneRecord(id=f"s{k}", image_size=(64, 64),
-                          proposals=related_scene("r").proposals[:1],
+    scenes = [SceneRecord(id=f"s{k}", proposals=related_scene("r").proposals[:1],
                           gt_objects=related_scene("r").gt_objects[:1], gt_triplets=())
               for k in range(3)]
     with pytest.raises(ValueError, match="^no scene has two proposals; nothing to train on$"):
@@ -217,9 +215,9 @@ def mixed_corpus():
     pairs are all negatives, so a miscounted step index shifts later draws."""
     scenes = synth_scenes()
     s = scenes[0]
-    one = SceneRecord(id="one", image_size=s.image_size, proposals=s.proposals[:1],
+    one = SceneRecord(id="one", proposals=s.proposals[:1],
                       gt_objects=s.gt_objects, gt_triplets=s.gt_triplets)
-    bare = SceneRecord(id="bare", image_size=s.image_size, proposals=s.proposals,
+    bare = SceneRecord(id="bare", proposals=s.proposals,
                        gt_objects=s.gt_objects, gt_triplets=())
     return [scenes[1], one, scenes[2], bare, *scenes[3:]]
 
@@ -273,8 +271,7 @@ def test_relation_targets_no_relation_unless_matched():
 
 
 def test_relation_target_out_of_range_predicate():
-    bad = SceneRecord(id="b", image_size=(64, 64),
-                      proposals=related_scene("x").proposals,
+    bad = SceneRecord(id="b", proposals=related_scene("x").proposals,
                       gt_objects=related_scene("x").gt_objects,
                       gt_triplets=(Triplet(0, DIMS.n_predicates, 1),))
     config = ModelConfig(dims=DIMS, iterations=1, use_srf=False)
@@ -285,7 +282,7 @@ def test_relation_target_out_of_range_predicate():
 
 def test_object_target_out_of_range_class():
     scene = related_scene("x")
-    bad = SceneRecord(id="b", image_size=(64, 64), proposals=scene.proposals,
+    bad = SceneRecord(id="b", proposals=scene.proposals,
                       gt_objects=(scene.gt_objects[0], GtObject(box=scene.gt_objects[1].box,
                                                                 cls=DIMS.n_classes)),
                       gt_triplets=scene.gt_triplets)
