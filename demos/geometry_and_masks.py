@@ -7,7 +7,7 @@ ascii art so the conv input is easy to picture.
 
 import numpy as np
 
-from sgg.relation_features import rasterize_mask
+from sgg.relation_features import expand_masks, rasterize_mask
 from sgg.scenes import Box, iou, union_frame
 from sgg.synthetic import SPATIAL_NAMES, spatial_relation
 
@@ -29,7 +29,7 @@ for name, sub, obj in PAIRS:
     union_w, union_h = sub.w / frame[0, 2], sub.h / frame[0, 3]  # w / (w / uw) = uw
     print(f"--- {name}: subject is '{rel}' the object "
           f"(iou {iou(sub, obj):.2f}, union {union_w:.0f}x{union_h:.0f})")
-    masks = rasterize_mask([sub.as_list()], [obj.as_list()], resolution=12)[0]
+    masks = expand_masks(rasterize_mask([sub.as_list()], [obj.as_list()], resolution=12))[0]
     rows = [a + "   " + b for a, b in zip(ascii_mask(masks[0]).splitlines(),
                                           ascii_mask(masks[1]).splitlines())]
     print("subject channel | object channel")

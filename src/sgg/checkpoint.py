@@ -11,6 +11,9 @@ A scalar entry has no dims and one value; ``repr`` loads every float back
 bit-exactly.  Parameter names are ``ParamGroup.named``'s, plus ``embed.table``;
 ``meta.dims`` / ``meta.flags`` hold the ``Dims`` / ``ModelConfig`` fields in
 field order, each by its annotation (bool 0/1, directions one slot each).
+
+``load_model`` serves eval and predict, which never train, so it returns
+frozen parameters (``ParamGroup.frozen``): their ops build no tape.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
            if config.use_srf or "srf.l1.w" in arrays else None)
     params = init_model_params(config, seed=0, srf=srf)
     _fill(params.named_arrays(), arrays, path)
-    return params, config
+    return params.frozen(), config
 
 
 def _srf_arrays(srf: TwoLayerMlp, embed: EmbeddingTable) -> dict[str, np.ndarray]:

@@ -10,6 +10,10 @@ Protocols: ``sggen`` consumes proposals as they come; ``sgcls`` substitutes
 gt boxes (features from the best-overlapping proposal, zeros if none) and
 predicts labels; ``predcls`` additionally fixes one-hot gt label
 distributions and grades predicates only.
+
+``evaluate`` runs on a frozen copy of the parameters (``ParamGroup.frozen``:
+the same arrays, no gradients), so no op keeps its inputs for a backward
+that never runs, and the caller's parameters stay trainable.
 """
 
 from __future__ import annotations
@@ -175,6 +179,7 @@ def evaluate(scenes: list[SceneRecord], params: ModelParams, config: ModelConfig
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown evaluation mode '{m}'")
+    params = params.frozen()
 
     def eval_one(scene: SceneRecord):
         out = {}

@@ -35,10 +35,14 @@ def pair_inputs(scene: SceneRecord, table: EmbeddingTable,
     if dists.shape[1] != table.n_classes:
         raise ValueError(f"{scene.id}: label_dist length {dists.shape[1]} != "
                          f"{table.n_classes} classes")
-    emb = table.embed(dists)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        emb = table.embed(dists)
     b = scene.boxes[ij]  # (P, 2, 4) subject and object boxes
     frame = union_frame(b[:, 0], b[:, 1]).reshape(-1, 8)
-    return np.concatenate([emb[ij[:, 0]], frame, emb[ij[:, 1]]], axis=1)
+    rows = np.concatenate([emb[ij[:, 0]], frame, emb[ij[:, 1]]], axis=1)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{scene.id}: relation filter inputs overflow float64")
+    return rows
 
 
 def pair_logits(inputs: np.ndarray, params: TwoLayerMlp) -> Tensor:

@@ -3,10 +3,11 @@
 Every caller runs one scene through the same two functions.
 ``scene_inputs`` checks the scene against ``Dims`` and builds what depends
 only on the scene and its pair list: object features, the language prior
-(the expected class embedding of each proposal), pair masks and union
-visuals.  ``forward`` turns those inputs into object logits, the label
-distributions the relation head reads, and relation logits: initial
-relation features, then target-tailored message passing, then the heads.
+(the expected class embedding of each proposal), the pairs' bool mask
+indicators, which ``forward`` expands into masks, and union visuals.
+``forward`` turns those inputs into object logits, the label distributions
+the relation head reads, and relation logits: initial relation features,
+then target-tailored message passing, then the heads.
 Inference (``forward_scene``, ``predict_scene``), training
 (``training.prepare_scene`` and ``training.scene_loss``) and the
 finite-difference gradcheck all go through them, so the gradients that are
@@ -100,15 +101,15 @@ def candidate_pairs(scene: SceneRecord, params: ModelParams, config: ModelConfig
 @dataclass(eq=False)
 class SceneInputs:
     """The arrays ``forward`` reads for one scene and its ordered pairs, with the
-    scene for training's messages; only ``training.prepare_scene`` sets the targets."""
+    scene id for training's messages; only ``training.prepare_scene`` sets the targets."""
 
-    scene: SceneRecord
+    scene_id: str
     edges: list[tuple[int, int]]
-    feats: np.ndarray   # (n, d_obj)
-    dists: np.ndarray   # (n, n_classes), the proposals' label distributions
-    e_lang: np.ndarray  # (n, d_emb)
-    masks: np.ndarray   # (len(edges), 2, mask_res, mask_res)
-    visual: np.ndarray  # (len(edges), d_union)
+    feats: np.ndarray       # (n, d_obj)
+    dists: np.ndarray       # (n, n_classes), the proposals' label distributions
+    e_lang: np.ndarray      # (n, d_emb)
+    indicators: np.ndarray  # (len(edges), 2, 2, mask_res) bool: pair, box, axis, cell
+    visual: np.ndarray      # (len(edges), d_union)
     obj_targets: np.ndarray | None = None  # (n,) object classes
     rel_targets: np.ndarray | None = None  # (len(edges),) predicates, no-relation last
 
@@ -127,11 +128,14 @@ def scene_inputs(scene: SceneRecord, params: ModelParams, config: ModelConfig,
         raise ValueError(f"{scene.id}: label_dist length {dists.shape[1]} != "
                          f"{dims.n_classes} classes")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        masks, visual = pair_geometry(scene, edges, dims)
+        indicators, visual = pair_geometry(scene, edges, dims)
+        e_lang = params.embed.embed(dists)
     if not np.all(np.isfinite(visual)):
         raise ValueError(f"{scene.id}: union visual features overflow float64")
-    return SceneInputs(scene=scene, edges=list(edges), feats=feats, dists=dists,
-                       e_lang=params.embed.embed(dists), masks=masks, visual=visual)
+    if not np.all(np.isfinite(e_lang)):
+        raise ValueError(f"{scene.id}: language prior (label_dist @ embedding) overflows float64")
+    return SceneInputs(scene_id=scene.id, edges=list(edges), feats=feats, dists=dists,
+                       e_lang=e_lang, indicators=indicators, visual=visual)
 
 
 @dataclass(eq=False)
@@ -149,10 +153,10 @@ def forward(inputs: SceneInputs, params: ModelParams, config: ModelConfig,
     In ``predcls`` mode the relation head reads the proposals' label
     distributions instead of the predicted ones; on a scene that
     ``evaluation.scene_for_mode`` converted, these are the one-hot gt classes.
-    Only the arrays of ``inputs`` are read, never its scene.
+    Only the arrays of ``inputs`` are read, never its scene id.
     """
     edges = inputs.edges
-    x_rel = relation_features(inputs.masks, inputs.visual, params.relfeat, config.dims)
+    x_rel = relation_features(inputs.indicators, inputs.visual, params.relfeat, config.dims)
     g = build_message_graph(Tensor(inputs.feats), Tensor(inputs.e_lang), x_rel, edges,
                             len(inputs.feats))
     g = run_message_passing(g, params.ttst, config)

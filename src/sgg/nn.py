@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +29,18 @@ class ParamGroup:
 
     def tensors(self) -> list[Tensor]:
         return list(self.named().values())
+
+    def frozen(self):
+        """The same tree over the same arrays, with leaves that need no
+        gradient: ops on them record no backward, so inference keeps no tape."""
+        changes = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                changes[f.name] = Tensor(value.data)
+            elif isinstance(value, ParamGroup):
+                changes[f.name] = value.frozen()
+        return replace(self, **changes)
 
 
 @dataclass

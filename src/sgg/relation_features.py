@@ -9,7 +9,11 @@ their normalized boxes.
 
 Masks and surrogate visuals read one union frame (``scenes.union_frame``),
 and ``pair_geometry`` builds both for a whole pair list in one
-``rasterize_mask`` and one ``union_visual`` call.  The conv stack runs on
+``rasterize_mask`` and one ``union_visual`` call.  A mask channel is the
+outer product of a row and a column interval indicator; ``rasterize_mask``
+returns these bool indicators, all that a prepared training scene keeps,
+and ``relation_features`` expands them into float64 masks
+(``expand_masks``) just before the conv stack.  The conv stack runs on
 ``autodiff.conv2d``, which works in blocks of pairs and lowers each block
 along the width only: one copy of its kw-wide windows (up to 5 copies of
 each mask cell for conv1, where an im2col makes up to 25) and kh GEMMs
@@ -53,14 +57,15 @@ def init_relfeat_params(dims: Dims, rng: np.random.Generator) -> RelFeatParams:
 
 
 def rasterize_mask(sub_boxes, obj_boxes, resolution: int) -> np.ndarray:
-    """Two-channel binary occupancy grids of box pairs on their union boxes.
+    """Interval indicators of box pairs on their union boxes, from which
+    ``expand_masks`` builds two-channel binary occupancy grids.
 
     ``sub_boxes`` and ``obj_boxes`` are (P, 4) arrays of [x, y, w, h]; the
-    result is (P, 2, R, R) with channel 0 the subject and 1 the object.
-    Cell (r, c) of a channel is set iff the cell's center, in coordinates
-    normalized to the union box, falls inside that box: the outer product of
-    a row and a column interval indicator.  A box too thin to cover any cell
-    center still contributes its center cell, so a channel is never all
+    result is a (P, 2, 2, R) bool array: pair, box (0 the subject, 1 the
+    object), axis (0 the columns, 1 the rows), cell.  An entry is set iff
+    the cell's center, in coordinates normalized to the union box, falls
+    inside that box's interval on that axis.  A box too thin to cover any
+    cell center still covers its center cell, so no mask channel is all
     zero.
     """
     if resolution < 1:
@@ -73,6 +78,12 @@ def rasterize_mask(sub_boxes, obj_boxes, resolution: int) -> np.ndarray:
     if empty.any():
         cell = ((start + extent / 2) * resolution).astype(np.intp)
         inside[empty] = np.arange(resolution) == np.clip(cell[empty], 0, resolution - 1)[..., None]
+    return inside
+
+
+def expand_masks(inside: np.ndarray) -> np.ndarray:
+    """The (P, 2, R, R) float64 masks of ``rasterize_mask``'s indicators:
+    cell (r, c) of a channel is set iff row r and column c are inside."""
     cols, rows = inside[:, :, 0], inside[:, :, 1]
     return (rows[..., :, None] & cols[..., None, :]).astype(np.float64)
 
@@ -124,7 +135,7 @@ def union_visual(scene: SceneRecord, pairs: list[tuple[int, int]],
 
 def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
                   dims: Dims) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (len(pairs), 2, R, R) and union visuals (len(pairs), d_union).
+    """Mask indicators (len(pairs), 2, 2, R) and union visuals (len(pairs), d_union).
 
     Both depend on the scene alone, so callers build them once per pair list
     and reuse them across parameter updates.
@@ -134,9 +145,11 @@ def pair_geometry(scene: SceneRecord, pairs: list[tuple[int, int]],
             union_visual(scene, pairs, dims.d_union))
 
 
-def relation_features(masks: np.ndarray, visual: np.ndarray, params: RelFeatParams,
+def relation_features(indicators: np.ndarray, visual: np.ndarray, params: RelFeatParams,
                       dims: Dims) -> Tensor:
-    """Initial features, one row per pair: Affine + ReLU over [visual, conv(masks)]."""
-    if not len(masks):
+    """Initial features, one row per pair: Affine + ReLU over [visual, conv(masks)],
+    the masks expanded from their ``rasterize_mask`` indicators just before the conv."""
+    if not len(indicators):
         return Tensor(np.zeros((0, dims.d_rel)))
-    return relu(params.fuse(concat_cols([Tensor(visual), spatial_features(masks, params)])))
+    spatial = spatial_features(expand_masks(indicators), params)
+    return relu(params.fuse(concat_cols([Tensor(visual), spatial])))

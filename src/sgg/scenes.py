@@ -11,7 +11,9 @@ Scene files are line-delimited JSON, one record per line:
 
 ``pair_visual`` is optional, and keys outside this format are ignored.
 Boxes are [x, y, w, h] with x < x + w, y < y + h and 0 < w * h, all finite
-in float64; ``label_dist`` is a distribution over object classes where index
+in float64, and a scene's boxes (proposals and gt) span a finite extent:
+max(x + w) - min(x) and max(y + h) - min(y) are finite, so every union box
+is too.  ``label_dist`` is a distribution over object classes where index
 0 is the background class.  Scene ids are unique within a file.
 """
 
@@ -157,6 +159,11 @@ class SceneRecord:
                 raise ValueError(f"{self.id}: gt_triplets[{k}] relates an object to itself")
             if t.pred < 0:
                 raise ValueError(f"{self.id}: gt_triplets[{k}].pred is negative")
+        boxes = [o.box for o in (*self.proposals, *self.gt_objects)]
+        if boxes and not (max(b.x2 for b in boxes) - min(b.x for b in boxes) < math.inf
+                          and max(b.y2 for b in boxes) - min(b.y for b in boxes) < math.inf):
+            raise ValueError(f"{self.id}: the boxes span more than float64 holds: "
+                             f"max(x + w) - min(x) or max(y + h) - min(y) overflows")
         for name in ("feature", "label_dist"):
             lengths = sorted({getattr(p, name).shape[0] for p in self.proposals})
             if len(lengths) > 1:

@@ -11,7 +11,10 @@ stage supervises every ordered pair, not only the ones the (frozen)
 relation filter would retain, so the classifier stays calibrated on
 whatever graph the filter or the confidence fallback keeps at inference;
 each scene's pair set is fixed, so its ``model.scene_inputs`` are built once
-and every step runs ``model.forward``, the same pass inference runs.
+and every step runs ``model.forward``, the same pass inference runs.  A
+prepared scene keeps each pair's mask as its bool row and column indicators
+(4R bytes a pair, where the float64 masks take 16R²), and ``forward``
+expands them per step, so what training holds grows slowly with the corpus.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _fit(stage: str, tensors: list[Tensor], steps: list[tuple], tcfg: TrainConfi
     history, first = [], None
     for epoch in range(1, tcfg.epochs + 1):
         opt.set_epoch(epoch)
-        total = 0.0
+        total, worst = 0.0, (-np.inf, "")  # the epoch's largest step loss and its scene
         for idx, scene_id, positive, rows_loss in steps:
             rng = np.random.default_rng([tcfg.seed, stream, epoch, idx])
             pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
@@ -82,32 +85,42 @@ def _fit(stage: str, tensors: list[Tensor], steps: list[tuple], tcfg: TrainConfi
                 if take else pos
             with np.errstate(**_QUIET):
                 loss = rows_loss(rows)
-                value = _finite(loss, epoch, scene_id)
+                value = _finite(loss, epoch, scene_id, initial=first is None)
                 backward(loss)
                 opt.step()
+            if not np.all(np.isfinite(opt.data)):
+                raise ValueError(f"epoch {epoch}, scene {scene_id}: the step made a parameter "
+                                 f"non-finite; try a lower learning rate, or look for inputs "
+                                 f"too large in the scenes trained so far")
             first = value if first is None else first
             total += value
-        history.append(_converging(stage, epoch, total / len(steps), first))
+            worst = max(worst, (value, scene_id))
+        history.append(_converging(stage, epoch, total / len(steps), first, worst))
     return history
 
 
-def _finite(loss: Tensor, epoch: int, scene_id: str) -> float:
+def _finite(loss: Tensor, epoch: int, scene_id: str, initial: bool) -> float:
     """The loss value of one step; a non-finite one stops the run before the
-    parameters take the step."""
+    parameters take the step.  At the ``initial`` parameters no step has been
+    taken, so the learning rate is not to blame: the scene's inputs are."""
     value = loss.item()
     if not np.isfinite(value):
-        raise ValueError(f"epoch {epoch}, scene {scene_id}: training loss is {value}; "
-                         f"try a lower learning rate")
+        cause = "the scene's inputs overflow at the initial parameters" if initial \
+            else "try a lower learning rate"
+        raise ValueError(f"epoch {epoch}, scene {scene_id}: training loss is {value}; {cause}")
     return value
 
 
-def _converging(stage: str, epoch: int, mean: float, first: float) -> float:
+def _converging(stage: str, epoch: int, mean: float, first: float,
+                worst: tuple[float, str]) -> float:
     """An epoch's mean loss; one past ``DIVERGENCE_FACTOR`` times the first
-    step's loss stops the run before any checkpoint is written."""
+    step's loss stops the run before any checkpoint is written, naming the
+    scene of the epoch's largest step loss ``worst``."""
     if mean > DIVERGENCE_FACTOR * first:
         raise ValueError(f"{stage} training, epoch {epoch}: mean loss {mean:.4g} is over "
-                         f"{DIVERGENCE_FACTOR:g} times the first step's {first:.4g}; "
-                         f"the run is diverging, try a lower learning rate")
+                         f"{DIVERGENCE_FACTOR:g} times the first step's {first:.4g} (the "
+                         f"largest, {worst[0]:.4g}, at scene {worst[1]}); the run is "
+                         f"diverging, try a lower learning rate")
     return mean
 
 
@@ -200,6 +213,6 @@ def train_main(scenes: list[SceneRecord], config: ModelConfig, tcfg: TrainConfig
         raise ValueError("no trainable scenes (all empty)")
     if not any(p.edges for p in prepared):
         raise ValueError("no scene has two proposals; nothing to train on")
-    steps = [(idx, prep.scene.id, prep.rel_targets != config.dims.no_relation,
+    steps = [(idx, prep.scene_id, prep.rel_targets != config.dims.no_relation,
               partial(scene_loss, prep, params, config)) for idx, prep in enumerate(prepared)]
     return params, _fit("main model", params.trainable(), steps, tcfg, stream=4)

@@ -20,7 +20,8 @@ from sgg.config import Dims, ModelConfig
 from sgg.filter import ordered_pairs
 from sgg.gradcheck import _away_from_zero, check_all_ops
 from sgg.model import init_model_params
-from sgg.relation_features import init_relfeat_params, pair_geometry, spatial_features
+from sgg.relation_features import expand_masks, init_relfeat_params, pair_geometry, \
+    spatial_features
 from sgg.synthetic import SynthConfig, generate_dataset
 
 
@@ -321,7 +322,7 @@ def test_spatial_stack_matches_einsum_on_a_dense_scene():
     arrays, so the output is a view of the second ReLU's data."""
     dims = Dims(n_classes=7, n_predicates=6)
     scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
-    masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
+    masks = expand_masks(pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)[0])
     n = len(masks)
     for cin, side, k in ((2, dims.mask_res, 5), (dims.conv1_channels, dims.pooled_res, 3)):
         step = autodiff.CONV_BLOCK_BYTES // (8 * cin * k * side * (side - k + 1))

@@ -147,6 +147,21 @@ def test_model_round_trip_restores_weights_and_config(tmp_path):
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
+def test_loaded_model_is_frozen_with_the_saved_arrays(tmp_path):
+    """Eval and predict never train, so ``load_model`` returns parameters
+    that need no gradient, filter included, holding the saved values."""
+    params, config = model_fixture()
+    path = tmp_path / "model.txt"
+    save_model(path, params, config)
+    loaded, _ = load_model(path)
+    want = params.named()
+    got = loaded.named()
+    assert set(got) == set(want) and any(name.startswith("srf.") for name in got)
+    for name, t in got.items():
+        assert not t.requires_grad and t.grad is None, name
+        assert t.data.tobytes() == want[name].data.tobytes(), name
+
+
 def test_model_without_filter_loads_without_filter(tmp_path):
     config = ModelConfig(dims=DIMS, use_srf=False)
     params = init_model_params(config, seed=2)

@@ -385,6 +385,78 @@ def test_predictions_that_overflow_exit_1_naming_scene_and_mode(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _filter_model(path, dims):
+    """A small model checkpoint with the relation filter on."""
+    config = ModelConfig(dims=dims)
+    save_model(path, init_model_params(config, seed=0,
+                                       srf=init_srf_params(dims, np.random.default_rng(0))),
+               config)
+    return str(path)
+
+
+def _boxes_spanning_past_float64(rec):
+    rec["proposals"][0]["box"] = [-1.7e308, 0, 1e300, 1]
+    rec["proposals"][1]["box"] = [1.7e308, 0, 1e300, 1]
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict", "--mode", "sggen"],
+                                     ["train-srf"], ["train", "--no-srf"]],
+                         ids=["eval", "predict", "train-srf", "train"])
+def test_boxes_spanning_more_than_float64_exit_1_naming_file_line_and_scene(tmp_path, capsys,
+                                                                           command):
+    """Each box is valid, but together they span an infinite union box."""
+    path, scene_id = _edited_line_2(tmp_path, gen_corpus(tmp_path),
+                                    _boxes_spanning_past_float64)
+    dims = Dims(n_classes=4, n_predicates=3, d_obj=8, d_emb=3, d_union=6, d_rel=6,
+                d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
+    model = ["--model", _filter_model(tmp_path / "m.ckpt", dims)] if command[0] in (
+        "eval", "predict") else []
+    capsys.readouterr()
+    assert run([*command, *model, "--data", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: {scene_id}: the boxes span more than float64 holds: "
+        f"max(x + w) - min(x) or max(y + h) - min(y) overflows\n")
+
+
+@pytest.mark.parametrize("no_srf", [[], ["--no-srf"]], ids=["filter", "no-filter"])
+def test_embeddings_that_overflow_exit_1_naming_the_scene(tmp_path, capsys, no_srf):
+    """Each table entry is finite, but a label distribution summing to just
+    over 1 carries the expected embedding past float64."""
+    lines = open(gen_corpus(tmp_path)).read().splitlines()
+    rec = json.loads(lines[0])  # the first scene, before any prediction can overflow
+    rec["proposals"][0]["label_dist"][0] += 9e-7
+    path = write(tmp_path / "heavy.jsonl", "\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+    dims = Dims(n_classes=4, n_predicates=3, d_obj=8, d_emb=3, d_union=6, d_rel=6,
+                d_pe=3, mask_res=12, conv1_channels=2, conv2_channels=2)
+    model = _filter_model(tmp_path / "m.ckpt", dims)
+    arrays = load_params(model)
+    arrays["embed.table"][:] = np.finfo(float).max
+    save_params(model, arrays)
+    capsys.readouterr()
+    assert run(["eval", *no_srf, "--data", path, "--model", model,
+                "--out", str(tmp_path / "out")]) == 1
+    what = "language prior (label_dist @ embedding) overflows" if no_srf \
+        else "relation filter inputs overflow"
+    assert capsys.readouterr().err == f"error: {rec['id']}: {what} float64\n"
+
+
+def test_first_step_non_finite_loss_blames_the_scene_not_the_learning_rate(tmp_path, capsys):
+    """No update precedes the first step, so no learning rate can help."""
+    lines = open(gen_corpus(tmp_path)).read().splitlines()
+    rec = json.loads(lines[0])  # the first step's scene
+    n = len(rec["proposals"])
+    rec["pair_visual"] = {f"{i},{j}": [1e308] * 8 for i in range(n) for j in range(n) if i != j}
+    path = write(tmp_path / "wide.jsonl", "\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+    cfg = write(tmp_path / "t.cfg", SRF_CFG)
+    capsys.readouterr()
+    assert run(["train", "--no-srf", "--data", path, "--out", str(tmp_path / "m.ckpt"),
+                "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: epoch 1, scene {rec['id']}: training loss is nan; the scene's inputs "
+        f"overflow at the initial parameters\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_a_scene_id_used_twice_exits_1_naming_both_lines(tmp_path, capsys):
     text = open(gen_corpus(tmp_path)).read()
     path = write(tmp_path / "twice.jsonl", text + text)

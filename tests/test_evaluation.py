@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgg.config import Dims, ModelConfig
-from sgg.evaluation import (EvalTriplet, detection_map, format_metrics_kv,
+from sgg.evaluation import (EvalTriplet, detection_map, evaluate, format_metrics_kv,
                             format_metrics_table, EvalResult, gt_eval_triplets,
                             match_triplets, recall_at_k, scene_for_mode, substitute_gt_boxes)
 from sgg.filter import ordered_pairs
@@ -170,10 +170,29 @@ def test_predcls_forward_reads_the_converted_one_hots_and_no_scene():
     params = init_model_params(config, seed=0)
     scene = scene_for_mode(eval_scene(), "predcls", config)
     inputs = scene_inputs(scene, params, config, ordered_pairs(scene.n_proposals))
-    out = forward(dataclasses.replace(inputs, scene=None), params, config, "predcls")
+    out = forward(dataclasses.replace(inputs, scene_id=None), params, config, "predcls")
     dists = np.stack([p.label_dist for p in scene.proposals])
     np.testing.assert_array_equal(dists, [[0, 1, 0], [0, 0, 1]])  # the gt classes, one-hot
     assert out.p_hat.data.tobytes() == dists.tobytes()
+
+
+def test_evaluate_leaves_the_callers_parameters_trainable():
+    """``evaluate`` runs on a frozen copy: the caller's parameters keep
+    ``requires_grad`` and their gradient buffers, values and all."""
+    dims = Dims(n_classes=3, n_predicates=2, d_obj=4, d_emb=2, d_union=4, d_rel=4, d_pe=2,
+                mask_res=10, conv1_channels=2, conv2_channels=2)
+    config = ModelConfig(dims=dims, iterations=1, use_srf=False)
+    params = init_model_params(config, seed=0)
+    for k, t in enumerate(params.tensors()):
+        t.grad += k + 0.5  # a gradient the caller has not applied yet
+    grads = [(t.grad, t.grad.copy()) for t in params.tensors()]
+    scene = eval_scene()
+    scene = SceneRecord(id="e2", proposals=scene.proposals * 2, gt_objects=scene.gt_objects,
+                        gt_triplets=scene.gt_triplets)
+    evaluate([scene], params, config, ks=(20,))
+    for t, (buffer, values) in zip(params.tensors(), grads):
+        assert t.requires_grad and t.grad is buffer
+        assert np.array_equal(t.grad, values)
 
 
 def test_substitute_gt_boxes_rejects_a_class_the_model_lacks():

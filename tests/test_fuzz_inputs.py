@@ -8,7 +8,10 @@ any value the dataclasses accept costs nothing.  Integer values stay small:
 a valid size that fits in memory would be allocated for real.  The corpus
 fuzz replaces one JSON value of a valid corpus and trains both stages on it
 for real; a bad corpus exits 1 with a message naming the file, the line and
-the field.  The checkpoint fuzz edits the tokens of small valid checkpoints.
+the field.  The fuzz at the edges of float64 puts huge, tiny and subnormal
+finite values into one record and runs both trainings, eval and predict:
+each finishes with finite outputs or exits 1 naming the file and line or a
+scene.  The checkpoint fuzz edits the tokens of small valid checkpoints.
 """
 
 import json
@@ -17,7 +20,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgg import cli
@@ -119,6 +122,12 @@ def _json_paths(value, path=()):
         yield from _json_paths(item, (*path, key))
 
 
+def _value_at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 def _replaced(value, path, new):
     if not path:
         return new
@@ -165,6 +174,83 @@ def _assert_names_the_field(err, corpus, line, record, path):
     assert located or err.startswith(f"error: {scene_id}: "), err
     if path:
         assert FIELD_PATH.search(err), err
+
+
+# finite values at the edges of float64: near its largest, and tiny or subnormal
+EXTREMES = st.sampled_from([sign * v for v in (1e308, 1.7e308, 1e-170, 5e-324)
+                            for sign in (1, -1)])
+
+
+@pytest.fixture(scope="module")
+def trained_model(inputs):
+    """A model with the filter on, trained for one epoch on the intact corpus."""
+    root, corpus, _ = inputs
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TRAIN_TINY)
+    srf, model = str(root / "extreme-filter.ckpt"), str(root / "extreme-model.ckpt")
+    assert cli.run(["train-srf", "--data", corpus, "--out", srf, "--config", str(cfg)]) == 0
+    assert cli.run(["train", "--data", corpus, "--srf-model", srf, "--out", model,
+                    "--config", str(cfg)]) == 0
+    return model
+
+
+def _finite_floats_in(path):
+    """Every number token of a written output file is finite."""
+    for token in re.findall(r"[-+\w.]+", open(path).read()):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert np.isfinite(value), (path, token)
+
+
+# (boxes only?, index into those floats, value): up to six floats of a record
+EDITS_AT_EDGES = st.lists(st.tuples(st.booleans(), st.integers(0, 10**4), EXTREMES),
+                          min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at=st.integers(0, 10), edits=EDITS_AT_EDGES)
+# proposals 0 and 1 become [-1.7e308, 0, 1e300, 1] and [1.7e308, 0, 1e300, 1]:
+# each box is valid, but together they span past float64
+@example(at=0, edits=[(True, k, v) for k, v in enumerate([-1.7e308, 0.0, 1e300, 1.0,
+                                                          1.7e308, 0.0, 1e300, 1.0])])
+def test_corpus_with_extreme_floats_runs_or_exits_1(inputs, trained_model, capsys, at, edits):
+    """Floats of one record become extreme finite values; every command runs
+    to finite outputs or exits 1 naming the file and line or the scene."""
+    root, corpus, _ = inputs
+    with open(corpus) as fh:
+        lines = fh.read().splitlines()
+    at %= len(lines)
+    ids = [json.loads(line)["id"] for line in lines]
+    record = json.loads(lines[at])
+    floats = [p for p in _json_paths(record) if isinstance(_value_at(record, p), float)]
+    boxes = [p for p in floats if "box" in p]
+    for boxes_only, k, value in edits:
+        paths = boxes if boxes_only else floats
+        record = _replaced(record, paths[k % len(paths)], value)
+    lines[at] = json.dumps(record)
+    bad = root / "extreme.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = root / "extreme.out"
+    for command in (["train-srf", "--config", str(root / "tiny.cfg")],
+                    ["train", "--no-srf", "--config", str(root / "tiny.cfg")],
+                    ["eval", "--model", trained_model],
+                    ["predict", "--model", trained_model]):
+        if out.exists():
+            out.unlink()
+        capsys.readouterr()
+        code = cli.run([*command, "--data", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            _finite_floats_in(out)
+            continue
+        assert code == 1 and err.startswith("error: "), (command, err)
+        located = str(bad) in err and re.search(rf"line {at + 1}\b", err)
+        # training names the scene whose step failed, which may come after the
+        # scene whose huge input made the parameters huge
+        assert located or any(re.search(rf"\b{sid}\b", err) for sid in ids), (command, err)
 
 
 @pytest.fixture(scope="module")

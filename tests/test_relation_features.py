@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from sgg.autodiff import (Tensor, _accumulate, backward, conv2d, finite_difference_check_params,
                           flatten, matmul, relu)
 from sgg.config import Dims
-from sgg.relation_features import (init_relfeat_params, pair_geometry, rasterize_mask,
-                                   relation_features, spatial_features, union_visual)
+from sgg.relation_features import (expand_masks, init_relfeat_params, pair_geometry,
+                                   rasterize_mask, relation_features, spatial_features,
+                                   union_visual)
+from sgg.config import ModelConfig
 from sgg.filter import ordered_pairs
+from sgg.model import init_model_params
 from sgg.scenes import Box, ObjectProposal, SceneRecord, pair_index
 from sgg.synthetic import SynthConfig, generate_dataset
+from sgg.training import prepare_scene
 
 DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
             mask_res=12, conv1_channels=3, conv2_channels=3)
@@ -22,7 +26,7 @@ DIMS = Dims(n_classes=4, n_predicates=3, d_obj=6, d_union=6, d_rel=5,
 
 def pair_mask(box_i: Box, box_j: Box, resolution: int) -> np.ndarray:
     """The (2, R, R) mask of one pair."""
-    return rasterize_mask([box_i.as_list()], [box_j.as_list()], resolution)[0]
+    return expand_masks(rasterize_mask([box_i.as_list()], [box_j.as_list()], resolution))[0]
 
 
 def test_mask_left_half_at_res_4():
@@ -123,7 +127,24 @@ def test_batched_masks_equal_the_per_pair_rasterizer(pairs, resolution):
     bit as the per-pair code did."""
     sub, obj = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
     expect = np.stack([per_pair_mask(Box(*a), Box(*b), resolution) for a, b in pairs])
-    np.testing.assert_array_equal(rasterize_mask(sub, obj, resolution), expect)
+    np.testing.assert_array_equal(expand_masks(rasterize_mask(sub, obj, resolution)), expect)
+
+
+def test_prepared_scene_keeps_indicators_that_expand_to_the_per_pair_masks():
+    """A prepared training scene stores bool (P, 2, 2, R) indicators, 1/(4R)
+    of the float64 masks' bytes, and their expansion is the per-pair
+    rasterizer's masks bit for bit."""
+    dims = Dims(n_classes=7, n_predicates=6)
+    scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=6, max_objects=6))[0]
+    config = ModelConfig(dims=dims, use_srf=False)
+    prep = prepare_scene(scene, init_model_params(config, seed=0), config, 0.5)
+    assert prep.indicators.dtype == bool
+    n = scene.n_proposals
+    assert n > 3 and prep.indicators.shape == (n * (n - 1), 2, 2, dims.mask_res)
+    expect = np.stack([per_pair_mask(scene.proposals[i].box, scene.proposals[j].box,
+                                     dims.mask_res) for i, j in prep.edges])
+    masks = expand_masks(prep.indicators)
+    assert masks.dtype == np.float64 and masks.tobytes() == expect.tobytes()
 
 
 def test_spatial_len_matches_conv_chain():
@@ -144,10 +165,11 @@ def test_relation_features_shapes_and_empty():
                   for k in range(3))
     scene = SceneRecord(id="s", proposals=props,
                         gt_objects=(), gt_triplets=())
-    masks, visual = pair_geometry(scene, [(0, 1), (2, 0)], DIMS)
-    assert masks.shape == (2, 2, DIMS.mask_res, DIMS.mask_res)
+    indicators, visual = pair_geometry(scene, [(0, 1), (2, 0)], DIMS)
+    assert indicators.shape == (2, 2, 2, DIMS.mask_res) and indicators.dtype == bool
+    assert expand_masks(indicators).shape == (2, 2, DIMS.mask_res, DIMS.mask_res)
     assert visual.shape == (2, DIMS.d_union)
-    out = relation_features(masks, visual, params, DIMS)
+    out = relation_features(indicators, visual, params, DIMS)
     assert out.data.shape == (2, DIMS.d_rel)
     empty = relation_features(*pair_geometry(scene, [], DIMS), params, DIMS)
     assert empty.data.shape == (0, DIMS.d_rel)
@@ -267,11 +289,11 @@ def test_conv_chain_gradients():
     rng = np.random.default_rng(5)
     for t in params.tensors():
         t.data += rng.normal(0.0, 0.05, t.data.shape)  # move relu off its kink
-    masks = np.stack([pair_mask(Box(0, 0, 5, 7), Box(3, 2, 6, 4), DIMS.mask_res)])
+    indicators = rasterize_mask([[0, 0, 5, 7]], [[3, 2, 6, 4]], DIMS.mask_res)
     visual = rng.normal(size=(1, DIMS.d_union))
 
     def loss():
-        fused = relation_features(masks, visual, params, DIMS)
+        fused = relation_features(indicators, visual, params, DIMS)
         from sgg.autodiff import flatten, matmul
         return matmul(flatten(fused), Tensor(np.ones(DIMS.d_rel)))
 
@@ -311,7 +333,7 @@ def test_pooling_before_the_relu_is_exact():
     order, so it agrees to rounding."""
     dims = Dims(n_classes=7, n_predicates=6)
     scene = generate_dataset(SynthConfig(num_scenes=1, min_objects=14, max_objects=20))[0]
-    masks, _ = pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)
+    masks = expand_masks(pair_geometry(scene, ordered_pairs(scene.n_proposals), dims)[0])
     params = init_relfeat_params(dims, np.random.default_rng(3))
     convs = (params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b)
     old = [Tensor(t.data.copy(), requires_grad=True) for t in convs]
@@ -342,7 +364,7 @@ def test_spatial_features_keeps_no_full_resolution_conv1_output():
     rng = np.random.default_rng(0)
     boxes = np.concatenate([rng.uniform(0, 60, (21, 2)), rng.uniform(4, 40, (21, 2))], axis=1)
     ij = pair_index(ordered_pairs(21))
-    masks = rasterize_mask(boxes[ij[:, 0]], boxes[ij[:, 1]], dims.mask_res)
+    masks = expand_masks(rasterize_mask(boxes[ij[:, 0]], boxes[ij[:, 1]], dims.mask_res))
     params = init_relfeat_params(dims, rng)
     g = Tensor(rng.normal(size=len(masks) * dims.spatial_len))
     conv1_bytes = 8 * len(masks) * dims.conv1_channels * (dims.mask_res - 4) ** 2

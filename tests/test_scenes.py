@@ -109,6 +109,25 @@ def test_scene_rejects_self_relation():
                     gt_objects=s.gt_objects, gt_triplets=(Triplet(1, 0, 1),))
 
 
+@pytest.mark.parametrize("near,far", [
+    (Box(-1.7e308, 0, 1e300, 1), Box(1.7e308, 0, 1e300, 1)),
+    (Box(0, -1.7e308, 1, 1e300), Box(0, 1.7e308, 1, 1e300))], ids=["x", "y"])
+@pytest.mark.parametrize("role", ["proposal", "gt"])
+def test_scene_rejects_boxes_spanning_more_than_float64(near, far, role):
+    """Each box is finite, but their union box is not; a gt box counts too."""
+    s = make_scene()
+
+    def prop(box):
+        return ObjectProposal(box=box, feature=np.zeros(5), label_dist=np.full(4, 0.25))
+    props, gts = (prop(near), *s.proposals), s.gt_objects
+    if role == "proposal":
+        props += (prop(far),)
+    else:
+        gts += (GtObject(box=far, cls=1),)
+    with pytest.raises(ValueError, match=r"^bad: the boxes span more than float64 holds"):
+        SceneRecord(id="bad", proposals=props, gt_objects=gts, gt_triplets=s.gt_triplets)
+
+
 def test_proposal_rejects_non_distribution():
     with pytest.raises(ValueError):
         ObjectProposal(box=Box(0, 0, 1, 1), feature=np.zeros(3),

@@ -1,15 +1,16 @@
 """Training loops: filter stage, main stage, supervision targets."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sgg import autodiff
-from sgg.autodiff import SgdMomentum, backward
+from sgg.autodiff import SgdMomentum, Tensor, backward
 from sgg.config import Dims, ModelConfig
 from sgg.filter import init_srf_params, pair_inputs, score_pairs, srf_loss, srf_training_labels
-from sgg.model import init_model_params
+from sgg.model import forward, init_model_params
 from sgg.scenes import Box, EmbeddingTable, GtObject, ObjectProposal, SceneRecord, Triplet
 from sgg.synthetic import SynthConfig, generate_dataset, generate_scene
 from sgg.training import TrainConfig, prepare_scene, scene_loss, train_main, train_srf
@@ -108,6 +109,24 @@ def synth_model_config():
     dims = Dims(n_classes=5, n_predicates=3, d_obj=8, d_emb=4, d_union=8,
                 d_rel=8, d_pe=4, mask_res=12, conv1_channels=2, conv2_channels=2)
     return ModelConfig(dims=dims, iterations=1, use_srf=False)
+
+
+def test_a_step_that_overflows_a_parameter_stops_at_that_step():
+    """The first loss is finite but its update overflows a parameter: the
+    run stops at that step, naming its scene, not at the next scene's loss."""
+    with pytest.raises(ValueError, match=r"^epoch 1, scene scene-0000: the step made a "
+                                         r"parameter non-finite; try a lower learning rate"):
+        train_main(synth_scenes(), synth_model_config(), TrainConfig(epochs=1, lr=1.7e308))
+
+
+def test_a_diverging_run_names_the_scene_of_its_largest_step_loss():
+    scenes = synth_scenes()
+    embed = EmbeddingTable.seeded(5, 4, seed=0)
+    with pytest.raises(ValueError, match=r"the run is diverging") as err:
+        train_srf(scenes, embed, synth_model_config().dims, TrainConfig(epochs=1, lr=1e3))
+    mean, largest, scene_id = re.search(r"mean loss (\S+) is over .* \(the largest, (\S+), at "
+                                        r"scene (\S+)\);", str(err.value)).groups()
+    assert float(largest) >= float(mean) and scene_id in {s.id for s in scenes}
 
 
 def test_main_loss_decreases():
@@ -351,3 +370,30 @@ def test_backward_peak_stays_near_the_tape_it_walks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.35 * held
+
+
+def test_forward_on_frozen_params_builds_no_tape(monkeypatch):
+    """Frozen parameters are the same arrays with no gradient, so no op of a
+    forward pass on them keeps parents or a backward, and its outputs are the
+    trainable parameters' outputs bit for bit."""
+    config = synth_model_config()
+    params = init_model_params(config, seed=0)
+    frozen = params.frozen()
+    for t, f in zip(params.tensors(), frozen.tensors()):
+        assert f.data is t.data and not f.requires_grad and f.grad is None
+    prep = prepare_scene(synth_scenes()[0], params, config, 0.5)
+    made, from_op = [], Tensor._from_op.__func__
+
+    def recorded(cls, *args):
+        made.append(from_op(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recorded))
+    out = forward(prep, frozen, config)
+    assert len(made) > 30
+    assert all(t._parents == () and t._backward is None for t in made)
+    made.clear()
+    want = forward(prep, params, config)
+    assert any(t._parents for t in made)
+    for name in ("obj_logits", "p_hat", "rel_logits"):
+        assert getattr(out, name).data.tobytes() == getattr(want, name).data.tobytes(), name
